@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <map>
-#include <memory>
 #include <optional>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -19,11 +18,6 @@
 #include "src/obs/trace.h"
 
 namespace byterobust {
-
-bool StreamCampaignEnabled() {
-  const char* env = std::getenv("BYTEROBUST_STREAM_CAMPAIGN");
-  return env == nullptr || std::string(env) != "0";
-}
 
 void WriteAggregate(JsonWriter* w, const std::string& key, const Aggregate& a) {
   w->Key(key);
@@ -73,14 +67,12 @@ std::string RenderFailedRuns(const std::vector<FailedRun>& failures) {
 }
 
 // ---------------------------------------------------------------------------
-// Worker-pool plumbing. All cross-thread mutable state lives in the two small
+// Worker-pool plumbing. All cross-thread mutable state lives in the small
 // classes below with BR_GUARDED_BY-annotated members, so the clang
 // `-Wthread-safety` CI job statically proves every access holds the right
 // lock. (Annotations only attach to members and globals — lambda-captured
 // locals are invisible to the analysis — which is why this state is hoisted
-// out of the engine functions.) Per-seed slots such as `summaries[i]` and the
-// spill index are written by exactly one worker each (disjoint indices of
-// pre-sized vectors) and read only after the pool joins; they need no lock.
+// out of the engine function.)
 // ---------------------------------------------------------------------------
 
 // First-failure latch for a worker pool: the first captured exception wins,
@@ -117,129 +109,99 @@ class FailureLatch {
   std::exception_ptr first_error_ BR_GUARDED_BY(mu_);
 };
 
-// Claims seed indices off the shared ticket until they run out, a worker has
-// failed, or `stop` asks for a graceful drain (in-flight seeds finish, no new
-// claims); runs `run` for each claim, latching the first exception wrapped
-// with campaign/seed/worker context. The optional `on_failure` hook runs
-// after the latch captures (e.g. to wake a committer blocked on a condition
-// variable).
-void DrainSeeds(int seeds, std::atomic<int>* next_seed, FailureLatch* latch,
-                const std::string& label, int worker,
-                const std::function<bool()>& stop,
-                const std::function<void(int)>& run,
-                const std::function<void()>& on_failure = {}) {
-  for (int i = next_seed->fetch_add(1); i < seeds && !latch->failed();
-       i = next_seed->fetch_add(1)) {
-    if (stop && stop()) {
-      return;
-    }
-    try {
-      // Worker-occupancy span: one "seed" interval per claim on this
-      // worker's trace track, so idle gaps between seeds are visible.
-      const obs::ScopedSpan seed_span("seed", "campaign", i);
-      run(i);
-    } catch (const std::exception& e) {
-      latch->Capture(std::make_exception_ptr(std::runtime_error(
-          label + ", seed index " + std::to_string(i) + ", worker " +
-          std::to_string(worker) + ": " + e.what())));
-      if (on_failure) {
-        on_failure();
-      }
-      return;
-    } catch (...) {
-      latch->Capture(std::current_exception());
-      if (on_failure) {
-        on_failure();
-      }
-      return;
-    }
-  }
-}
-
-// Out-of-order producers, strictly seed-ordered consumer: workers Push each
-// rendered element as it finishes; the committer Pops 0, 1, 2, ... so the
-// document is written in seed order while only the out-of-order tail is ever
-// resident. A latched failure wakes the committer immediately.
-class OrderedCommitQueue {
+// Seed-ordered commit without a dedicated committer thread. Workers finish
+// seeds out of order and hand each outcome to Commit(); whichever worker
+// completes the oldest uncommitted seed writes it — and every consecutive
+// successor already parked — through `write`, so elements leave in seed
+// order. Summaries of committed, non-quarantined seeds collect in the same
+// order for the aggregate fold.
+class OrderedCommitter {
  public:
-  OrderedCommitQueue(const FailureLatch* latch, int producers)
-      : latch_(latch), active_producers_(producers) {}
+  OrderedCommitter(int window, std::function<void(std::string_view)> write)
+      : window_(window), write_(std::move(write)) {}
 
-  void Push(int index, std::string element) {
-    {
-      const MutexLock lock(&mu_);
-      done_.emplace(index, std::move(element));
+  // Blocks while seed `index` lies beyond the commit window. Returns false
+  // when the claim should be dropped instead: `abandon()` (a latched failure
+  // or a requested stop) holds. `abandon()` flips outside mu_ (a signal,
+  // another worker's exception), yet no waiter sleeps through it: the oldest
+  // uncommitted seed always belongs to a worker that is not waiting, and
+  // that worker's next Commit() or Wake() notifies.
+  bool AwaitTurn(int index, const std::function<bool()>& abandon) {
+    const MutexLock lock(&mu_);
+    if (index >= next_ + window_ && !abandon()) {
+      // How long this worker idled for the ordered commit to catch up.
+      const obs::ScopedSpan wait_span("commit_wait", "campaign", index);
+      while (index >= next_ + window_ && !abandon()) {
+        cv_.Wait(&mu_);
+      }
     }
-    cv_.NotifyOne();
+    return !abandon();
   }
 
-  // Each producer thread calls this exactly once on exit. When the last one
-  // leaves, any committer still waiting for an unproduced seed (graceful
-  // stop, or a quarantine race) unblocks instead of waiting forever.
-  void ProducerExited() {
+  void Commit(int index, SeedOutcome outcome) {
     {
       const MutexLock lock(&mu_);
-      --active_producers_;
-      if (active_producers_ > 0) {
-        return;
+      parked_.emplace(index, std::move(outcome));
+      while (!parked_.empty() && parked_.begin()->first == next_) {
+        SeedOutcome& ready = parked_.begin()->second;
+        // Quarantined seeds advance the order without emitting an element.
+        if (!ready.failed) {
+          if (emitted_++ > 0) {
+            write_(",");
+          }
+          write_(ready.element);
+          summaries_.push_back(std::move(ready.summary));
+        }
+        parked_.erase(parked_.begin());
+        ++next_;
       }
     }
     cv_.NotifyAll();
   }
 
-  // Wakes the committer after the latch recorded a failure. Acquiring mu_
-  // (even briefly) orders the notification after the committer's failed()
-  // check in Pop(): either the committer already observed the failure, or it
-  // has released mu_ inside cv_.Wait() and the NotifyAll cannot be lost.
-  // Notifying without the lock could fire between the check and the wait,
-  // leaving the committer blocked forever once producers stop pushing.
-  void NotifyFailure() {
+  // Wakes every worker blocked in AwaitTurn so it re-checks `abandon()`. A
+  // worker calls this when it stops claiming: the seed it dropped (or failed)
+  // may be the one the blocked workers wait on. Acquiring mu_ (even briefly)
+  // orders the notification after a waiter's condition check: either the
+  // waiter already saw the new state, or it has released mu_ inside
+  // cv_.Wait() and the NotifyAll cannot be lost.
+  void Wake() {
     { const MutexLock lock(&mu_); }
     cv_.NotifyAll();
   }
 
-  // Blocks until element `index` is available (true), or until it can never
-  // arrive — the pool failed, or every producer exited without pushing it
-  // (false).
-  bool Pop(int index, std::string* element) {
-    // Ordered-commit wait: how long the committer idled for this seed to be
-    // produced (instant when the element is already queued).
-    const obs::ScopedSpan wait_span("commit_wait", "campaign", index);
+  // Seeds committed so far, a prefix of the seed order.
+  int committed() const {
     const MutexLock lock(&mu_);
-    while (true) {
-      const auto it = done_.find(index);
-      if (it != done_.end()) {
-        *element = std::move(it->second);
-        done_.erase(it);
-        return true;
-      }
-      if (latch_->failed() || active_producers_ == 0) {
-        return false;
-      }
-      cv_.Wait(&mu_);
-    }
+    return next_;
+  }
+
+  // Committed seeds' summaries in seed order. Call after the pool joins.
+  std::vector<std::vector<double>> TakeSummaries() {
+    const MutexLock lock(&mu_);
+    return std::move(summaries_);
   }
 
  private:
-  const FailureLatch* latch_;
-  Mutex mu_;
+  const int window_;
+  const std::function<void(std::string_view)> write_;
+  mutable Mutex mu_;
   CondVar cv_;
-  int active_producers_ BR_GUARDED_BY(mu_);
-  std::map<int, std::string> done_ BR_GUARDED_BY(mu_);
+  int next_ BR_GUARDED_BY(mu_) = 0;
+  int emitted_ BR_GUARDED_BY(mu_) = 0;
+  std::map<int, SeedOutcome> parked_ BR_GUARDED_BY(mu_);
+  std::vector<std::vector<double>> summaries_ BR_GUARDED_BY(mu_);
 };
 
 // Runs `body(worker_index)` on `workers` threads — the calling thread doubles
-// as worker 0 unless `caller_participates` is false — and joins them all.
-void RunWorkerPool(int workers, bool caller_participates,
-                   const std::function<void(int)>& body) {
+// as worker 0 — and joins them all.
+void RunWorkerPool(int workers, const std::function<void(int)>& body) {
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(workers));
-  for (int t = caller_participates ? 1 : 0; t < workers; ++t) {
+  for (int t = 1; t < workers; ++t) {
     pool.emplace_back(body, t);
   }
-  if (caller_participates) {
-    body(0);
-  }
+  body(0);
   for (std::thread& t : pool) {
     t.join();
   }
@@ -272,7 +234,7 @@ class OutputSink {
   // False when --out could not be opened; Finish() reports it.
   bool ok() const { return ok_; }
 
-  void Write(const std::string& text) {
+  void Write(std::string_view text) {
     if (capture_ != nullptr) {
       capture_->append(text);
     } else if (std::fwrite(text.data(), 1, text.size(), stdout) != text.size()) {
@@ -309,13 +271,55 @@ class OutputSink {
   bool stdout_ok_ = true;
 };
 
+// The default layout's runs array, parked in one sequential tmpfile while
+// seeds commit: the aggregate block that precedes it in the document needs
+// every seed first. Memory stays at one commit window instead of --seeds
+// elements.
+class RunsSpill {
+ public:
+  RunsSpill() : file_(std::tmpfile()), ok_(file_ != nullptr) {}
+  ~RunsSpill() {
+    if (file_ != nullptr) {
+      std::fclose(file_);
+    }
+  }
+  RunsSpill(const RunsSpill&) = delete;
+  RunsSpill& operator=(const RunsSpill&) = delete;
+
+  // False once creating or writing the tmpfile failed.
+  bool ok() const { return ok_; }
+
+  void Write(std::string_view text) {
+    if (ok_ && std::fwrite(text.data(), 1, text.size(), file_) != text.size()) {
+      ok_ = false;
+    }
+  }
+
+  // Copies everything written so far to `sink`; false on a read error.
+  bool CopyTo(OutputSink* sink) {
+    const obs::ScopedSpan merge_span("spill_merge", "campaign");
+    if (std::fflush(file_) != 0 || std::fseek(file_, 0, SEEK_SET) != 0) {
+      return false;
+    }
+    std::string chunk(std::size_t{1} << 16, '\0');
+    for (std::size_t n = 0; (n = std::fread(chunk.data(), 1, chunk.size(), file_)) > 0;) {
+      sink->Write(std::string_view(chunk.data(), n));
+    }
+    return std::ferror(file_) == 0;
+  }
+
+ private:
+  std::FILE* file_;
+  bool ok_;
+};
+
 // ---------------------------------------------------------------------------
-// CampaignHarness: the per-seed fault-tolerance wrapper shared by all three
-// engine paths. RunSeed(i) short-circuits seeds already committed in a
-// --resume journal, runs fresh seeds under the SeedSupervisor (watchdog,
-// deterministic retry/backoff, self-fault-injection), journals each success,
-// and converts persistent failures into quarantine outcomes instead of
-// exceptions. Thread-safe: workers call RunSeed concurrently.
+// CampaignHarness: the per-seed fault-tolerance wrapper around spec.run_seed.
+// RunSeed(i) short-circuits seeds already committed in a --resume journal,
+// runs fresh seeds under the SeedSupervisor (watchdog, deterministic
+// retry/backoff, self-fault-injection), journals each success, and converts
+// persistent failures into quarantine outcomes instead of exceptions.
+// Thread-safe: workers call RunSeed concurrently.
 // ---------------------------------------------------------------------------
 class CampaignHarness {
  public:
@@ -417,8 +421,7 @@ class CampaignHarness {
   std::vector<FailedRun> failures_ BR_GUARDED_BY(mu_);
 };
 
-// Reports a graceful interrupt (stderr note + kExitInterrupted), shared by
-// the three engine paths.
+// Reports a graceful interrupt (stderr note + kExitInterrupted).
 int FinishInterrupted(const CampaignHarness& harness, int processed, int seeds) {
   std::fprintf(stderr, "note: campaign interrupted after %d of %d seeds%s\n",
                processed, seeds, harness.ResumeHint().c_str());
@@ -435,323 +438,127 @@ int FinishCompleted(OutputSink* sink, const std::vector<FailedRun>& failures) {
   return failures.empty() ? kExitOk : kExitQuarantine;
 }
 
-// Where one rendered seed landed inside its worker's spill file.
-struct SpillLocation {
-  std::uint32_t worker = 0;
-  long offset = 0;
-  std::uint32_t length = 0;
-};
-
-// Owns the per-worker spill tmpfiles; every exit path (success, spill I/O
-// error, worker exception, interrupt) closes them through this one
-// destructor instead of hand-rolled cleanup loops.
-class SpillSet {
- public:
-  explicit SpillSet(int workers) : files_(static_cast<std::size_t>(workers), nullptr) {
-    for (std::FILE*& f : files_) {
-      f = std::tmpfile();
-      if (f == nullptr) {
-        ok_ = false;
-        return;
-      }
-    }
+// The document up to its open "runs" array. The default layout carries the
+// aggregate block here (`summaries` non-null); --stream cannot, since it
+// writes the head before any seed has run.
+std::string DocumentHead(const CampaignEngineSpec& spec,
+                         const std::vector<std::vector<double>>* summaries) {
+  JsonWriter head;
+  head.BeginObject();
+  spec.header_fields(&head);
+  if (summaries != nullptr) {
+    spec.aggregates(&head, *summaries);
   }
-  ~SpillSet() {
-    for (std::FILE* f : files_) {
-      if (f != nullptr) {
-        std::fclose(f);
-      }
-    }
-  }
-  SpillSet(const SpillSet&) = delete;
-  SpillSet& operator=(const SpillSet&) = delete;
-
-  bool ok() const { return ok_; }
-  std::FILE* at(std::size_t worker) const { return files_[worker]; }
-
-  void FlushAll() {
-    for (std::FILE* f : files_) {
-      std::fflush(f);
-    }
-  }
-
- private:
-  std::vector<std::FILE*> files_;
-  bool ok_ = true;
-};
-
-// Default streaming path: each worker appends its finished seeds' JSON to a
-// private tmpfile; the merger then concatenates the elements in seed order
-// (seeking by the per-seed index) while the aggregate block folds from the
-// per-seed summaries. Peak memory: one rendered element per worker.
-int RunEngineSpillStreaming(const CampaignEngineSpec& spec) {
-  const int seeds = spec.seeds;
-  const int workers = std::max(1, std::min(spec.jobs, seeds));
-  CampaignHarness harness(spec);
-  OutputSink sink(spec.out_path, spec.capture);
-  if (!sink.ok()) {
-    return sink.Finish();  // fail fast: --out unwritable, nothing simulated
-  }
-  SpillSet spills(workers);
-  if (!spills.ok()) {
-    std::fprintf(stderr, "error: could not create campaign spill file\n");
-    return kExitIoError;
-  }
-  std::vector<std::vector<double>> summaries(static_cast<std::size_t>(seeds));
-  std::vector<SpillLocation> index(static_cast<std::size_t>(seeds));
-  std::vector<unsigned char> failed(static_cast<std::size_t>(seeds), 0);
-
-  std::atomic<int> next{0};
-  std::atomic<int> processed{0};
-  FailureLatch latch;
-  const auto worker = [&](int w) {
-    // Each worker appends to its own spill file and writes disjoint
-    // summaries/index/failed slots; only the latch is cross-thread state.
-    long offset = 0;
-    DrainSeeds(seeds, &next, &latch, spec.label, w,
-               [&] { return harness.stop_requested(); }, [&](int i) {
-      SeedOutcome outcome = harness.RunSeed(i);
-      processed.fetch_add(1, std::memory_order_relaxed);
-      if (outcome.failed) {
-        failed[static_cast<std::size_t>(i)] = 1;
-        return;
-      }
-      summaries[static_cast<std::size_t>(i)] = std::move(outcome.summary);
-      const std::string element = std::move(outcome.element);
-      if (std::fwrite(element.data(), 1, element.size(),
-                      spills.at(static_cast<std::size_t>(w))) != element.size()) {
-        throw std::runtime_error("campaign spill write failed");
-      }
-      index[static_cast<std::size_t>(i)] = {static_cast<std::uint32_t>(w), offset,
-                                            static_cast<std::uint32_t>(element.size())};
-      offset += static_cast<long>(element.size());
-    });
-  };
-  RunWorkerPool(workers, /*caller_participates=*/true, worker);
-  latch.RethrowIfFailed();
-  if (harness.stop_requested() && processed.load(std::memory_order_relaxed) < seeds) {
-    // Interrupted before every seed finished: nothing merged — the journal
-    // (not a half-document) is the restart artifact.
-    return FinishInterrupted(harness, processed.load(std::memory_order_relaxed), seeds);
-  }
-
-  spills.FlushAll();
-  std::vector<std::vector<double>> folded;
-  folded.reserve(summaries.size());
-  for (int i = 0; i < seeds; ++i) {
-    if (failed[static_cast<std::size_t>(i)] == 0) {
-      folded.push_back(std::move(summaries[static_cast<std::size_t>(i)]));
-    }
-  }
-  JsonWriter header;
-  header.BeginObject();
-  spec.header_fields(&header);
-  spec.aggregates(&header, folded);
-  header.Key("runs");
-  header.BeginArray();
-  sink.Write(header.Take());
-  {
-    // The sequential re-read/concatenate pass over the per-worker spills.
-    const obs::ScopedSpan merge_span("spill_merge", "campaign");
-    std::string element;
-    int emitted = 0;
-    for (int i = 0; i < seeds; ++i) {
-      if (failed[static_cast<std::size_t>(i)] != 0) {
-        continue;
-      }
-      const SpillLocation& loc = index[static_cast<std::size_t>(i)];
-      element.resize(loc.length);
-      std::FILE* f = spills.at(loc.worker);
-      if (std::fseek(f, loc.offset, SEEK_SET) != 0 ||
-          std::fread(element.data(), 1, element.size(), f) != element.size()) {
-        std::fprintf(stderr, "error: campaign spill read failed\n");
-        return kExitIoError;
-      }
-      if (emitted++ > 0) {
-        sink.Write(",");
-      }
-      sink.Write(element);
-    }
-  }
-  sink.Write("\n  ]");
-  const std::vector<FailedRun> failures = harness.failures();
-  if (!failures.empty()) {
-    sink.Write(RenderFailedRuns(failures));
-  }
-  sink.Write("\n}\n");
-  return FinishCompleted(&sink, failures);
+  head.Key("runs");
+  head.BeginArray();
+  return head.Take();
 }
 
-// --stream: fully incremental document for live consumption. Runs are written
-// the moment their seed is next in order (nothing is spilled), so the
-// "aggregate" block — which needs every seed — moves to the end of the
-// document; all values are identical to the default layout's.
-int RunEngineDirectStreaming(const CampaignEngineSpec& spec) {
+// The one campaign pipeline. Workers claim seeds in order and run them under
+// the harness; the OrderedCommitter emits finished elements in seed order,
+// either straight to the sink behind the document head (--stream, for live
+// consumption: the aggregate block then trails the runs array) or into a
+// RunsSpill that follows the head and aggregate block once every seed is in
+// (default layout). Both layouts carry the same runs and aggregate values.
+int RunPipeline(const CampaignEngineSpec& spec) {
   const int seeds = spec.seeds;
+  const int workers = std::max(1, std::min(spec.jobs, seeds));
   CampaignHarness harness(spec);
   OutputSink sink(spec.out_path, spec.capture);
   if (!sink.ok()) {
     return sink.Finish();  // fail fast: --out unwritable, nothing simulated
   }
-  JsonWriter header;
-  header.BeginObject();
-  spec.header_fields(&header);
-  header.Key("runs");
-  header.BeginArray();
-  sink.Write(header.Take());
-
-  std::vector<std::vector<double>> summaries(static_cast<std::size_t>(seeds));
-  std::vector<unsigned char> failed(static_cast<std::size_t>(seeds), 0);
-  int emitted = 0;
-  // Quarantined seeds travel through the queue as empty sentinels so the
-  // in-order committer advances past them without emitting an element.
-  const auto commit = [&](const std::string& element) {
-    if (element.empty()) {
-      return;
+  std::optional<RunsSpill> spill;
+  if (spec.stream) {
+    sink.Write(DocumentHead(spec, nullptr));
+  } else {
+    spill.emplace();
+    if (!spill->ok()) {
+      std::fprintf(stderr, "error: could not create campaign spill file\n");
+      return kExitIoError;
     }
-    if (emitted++ > 0) {
-      sink.Write(",");
-    }
-    sink.Write(element);
-  };
+  }
 
-  const int workers = std::max(1, std::min(spec.jobs, seeds));
-  int committed = 0;  // seeds whose outcome reached the committer, in order
-  if (workers <= 1) {
-    for (; committed < seeds; ++committed) {
-      if (harness.stop_requested()) {
+  OrderedCommitter committer(kCommitWindowPerWorker * workers, [&](std::string_view text) {
+    if (spill) {
+      spill->Write(text);
+      // Thrown from inside the committing worker's Commit(), so the latch
+      // stops every worker now instead of after the remaining seeds ran.
+      if (!spill->ok()) {
+        throw std::runtime_error("campaign spill write failed");
+      }
+    } else {
+      sink.Write(text);
+    }
+  });
+  std::atomic<int> next{0};
+  FailureLatch latch;
+  RunWorkerPool(workers, [&](int w) {
+    // Stop claiming once any worker failed, or on a graceful stop (in-flight
+    // seeds finish and commit; nothing new starts).
+    const std::function<bool()> abandon = [&] {
+      return latch.failed() || harness.stop_requested();
+    };
+    for (int i = next.fetch_add(1); i < seeds; i = next.fetch_add(1)) {
+      if (!committer.AwaitTurn(i, abandon)) {
         break;
       }
-      SeedOutcome outcome = harness.RunSeed(committed);
-      if (outcome.failed) {
-        failed[static_cast<std::size_t>(committed)] = 1;
-      } else {
-        summaries[static_cast<std::size_t>(committed)] = std::move(outcome.summary);
+      try {
+        SeedOutcome outcome;
+        {
+          // Worker-occupancy span: one "seed" interval per claim on this
+          // worker's trace track, so idle gaps between seeds are visible.
+          // It closes before Commit(), whose ordered writes are not seed work.
+          const obs::ScopedSpan seed_span("seed", "campaign", i);
+          outcome = harness.RunSeed(i);
+        }
+        committer.Commit(i, std::move(outcome));
+      } catch (const std::exception& e) {
+        latch.Capture(std::make_exception_ptr(std::runtime_error(
+            spec.label + ", seed index " + std::to_string(i) + ", worker " +
+            std::to_string(w) + ": " + e.what())));
+        break;
+      } catch (...) {
+        latch.Capture(std::current_exception());
+        break;
       }
-      commit(outcome.element);
     }
-  } else {
-    // Workers render out of order; the main thread commits strictly in seed
-    // order, holding at most the out-of-order tail in memory.
-    std::atomic<int> next{0};
-    FailureLatch latch;
-    OrderedCommitQueue queue(&latch, workers);
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int t = 0; t < workers; ++t) {
-      pool.emplace_back([&, t] {
-        DrainSeeds(
-            seeds, &next, &latch, spec.label, t,
-            [&] { return harness.stop_requested(); },
-            [&](int i) {
-              SeedOutcome outcome = harness.RunSeed(i);
-              if (outcome.failed) {
-                failed[static_cast<std::size_t>(i)] = 1;
-              } else {
-                summaries[static_cast<std::size_t>(i)] = std::move(outcome.summary);
-              }
-              queue.Push(i, std::move(outcome.element));
-            },
-            /*on_failure=*/[&] { queue.NotifyFailure(); });
-        queue.ProducerExited();
-      });
-    }
-    std::string element;
-    for (; committed < seeds; ++committed) {
-      if (!queue.Pop(committed, &element)) {
-        break;  // failed, or drained out before producing this seed
-      }
-      commit(element);
-    }
-    for (std::thread& t : pool) {
-      t.join();
-    }
-    latch.RethrowIfFailed();
-  }
+    committer.Wake();
+  });
+  latch.RethrowIfFailed();
 
-  // Close a valid (possibly partial) document either way: aggregates fold
-  // over exactly the seeds that made it into the runs array.
-  std::vector<std::vector<double>> folded;
-  folded.reserve(static_cast<std::size_t>(committed));
-  for (int i = 0; i < committed; ++i) {
-    if (failed[static_cast<std::size_t>(i)] == 0) {
-      folded.push_back(std::move(summaries[static_cast<std::size_t>(i)]));
+  // Aggregates fold over exactly the seeds that made it into the runs array.
+  const int committed = committer.committed();
+  const bool interrupted = harness.stop_requested() && committed < seeds;
+  const std::vector<std::vector<double>> summaries = committer.TakeSummaries();
+  const std::vector<FailedRun> failures = harness.failures();
+  if (spill) {
+    if (interrupted) {
+      // Nothing merged: the journal, not a half-document, is the restart
+      // artifact.
+      return FinishInterrupted(harness, committed, seeds);
+    }
+    sink.Write(DocumentHead(spec, &summaries));
+    if (!spill->CopyTo(&sink)) {
+      std::fprintf(stderr, "error: campaign spill read failed\n");
+      return kExitIoError;
     }
   }
+  // --stream closes a valid document even when interrupted.
   sink.Write("\n  ]");
-  const std::vector<FailedRun> failures = harness.failures();
   if (!failures.empty()) {
     sink.Write(RenderFailedRuns(failures));
   }
-  JsonWriter tail(/*depth=*/1, /*need_comma=*/true);
-  spec.aggregates(&tail, folded);
-  sink.Write(tail.Take());
+  if (!spill) {
+    JsonWriter tail(/*depth=*/1, /*need_comma=*/true);
+    spec.aggregates(&tail, summaries);
+    sink.Write(tail.Take());
+  }
   sink.Write("\n}\n");
-  if (harness.stop_requested() && committed < seeds) {
+  if (interrupted) {
     sink.Finish();
     return FinishInterrupted(harness, committed, seeds);
   }
-  return FinishCompleted(&sink, failures);
-}
-
-// Buffered reference path (BYTEROBUST_STREAM_CAMPAIGN=0): every rendered
-// element held in memory, emitted in one pass. The streaming paths above must
-// be byte-identical to this (ctest cli_campaign_streaming_equivalence).
-int RunEngineBuffered(const CampaignEngineSpec& spec) {
-  const int seeds = spec.seeds;
-  CampaignHarness harness(spec);
-  OutputSink sink(spec.out_path, spec.capture);
-  if (!sink.ok()) {
-    return sink.Finish();  // fail fast: --out unwritable, nothing simulated
-  }
-  std::vector<SeedOutcome> outcomes(static_cast<std::size_t>(seeds));
-  std::atomic<int> next{0};
-  std::atomic<int> processed{0};
-  FailureLatch latch;
-  const auto worker = [&](int w) {
-    DrainSeeds(seeds, &next, &latch, spec.label, w,
-               [&] { return harness.stop_requested(); }, [&](int i) {
-                 outcomes[static_cast<std::size_t>(i)] = harness.RunSeed(i);
-                 processed.fetch_add(1, std::memory_order_relaxed);
-               });
-  };
-  const int workers = std::max(1, std::min(spec.jobs, seeds));
-  RunWorkerPool(workers, /*caller_participates=*/true, worker);
-  latch.RethrowIfFailed();
-  if (harness.stop_requested() && processed.load(std::memory_order_relaxed) < seeds) {
-    return FinishInterrupted(harness, processed.load(std::memory_order_relaxed), seeds);
-  }
-
-  std::vector<std::vector<double>> summaries;
-  summaries.reserve(outcomes.size());
-  for (const SeedOutcome& o : outcomes) {
-    if (!o.failed) {
-      summaries.push_back(o.summary);
-    }
-  }
-  JsonWriter header;
-  header.BeginObject();
-  spec.header_fields(&header);
-  spec.aggregates(&header, summaries);
-  header.Key("runs");
-  header.BeginArray();
-  sink.Write(header.Take());
-  int emitted = 0;
-  for (int i = 0; i < seeds; ++i) {
-    if (outcomes[static_cast<std::size_t>(i)].failed) {
-      continue;
-    }
-    if (emitted++ > 0) {
-      sink.Write(",");
-    }
-    sink.Write(outcomes[static_cast<std::size_t>(i)].element);
-  }
-  sink.Write("\n  ]");
-  const std::vector<FailedRun> failures = harness.failures();
-  if (!failures.empty()) {
-    sink.Write(RenderFailedRuns(failures));
-  }
-  sink.Write("\n}\n");
   return FinishCompleted(&sink, failures);
 }
 
@@ -759,13 +566,7 @@ int RunEngineBuffered(const CampaignEngineSpec& spec) {
 
 int RunCampaignEngine(const CampaignEngineSpec& spec, std::string* setup_error) {
   try {
-    if (spec.stream) {
-      return RunEngineDirectStreaming(spec);
-    }
-    if (StreamCampaignEnabled()) {
-      return RunEngineSpillStreaming(spec);
-    }
-    return RunEngineBuffered(spec);
+    return RunPipeline(spec);
   } catch (const EngineSetupError& e) {
     if (setup_error != nullptr) {
       *setup_error = e.what();

@@ -1,10 +1,11 @@
-// Campaign engine: the seed-parallel worker pool and streaming merger shared
-// by the `campaign` and `fleet` CLI subcommands and by the `serve` daemon. It
-// is generic over the per-seed runner (one RunResult per seed, or a whole
-// multi-job fleet per seed) and over the output target (stdout/--out for the
-// CLI, an in-memory capture string for serve responses), and every path is
-// byte-identical for the same request: across --jobs values, across the
-// spill/direct/buffered layouts, and across an interrupt + journal resume.
+// Campaign engine: the seed-parallel worker pool and ordered-commit pipeline
+// shared by the `campaign` and `fleet` CLI subcommands and by the `serve`
+// daemon. It is generic over the per-seed runner (one RunResult per seed, or
+// a whole multi-job fleet per seed) and over the output target (stdout/--out
+// for the CLI, an in-memory capture string for serve responses). Output is
+// byte-identical for the same request across --jobs values and across an
+// interrupt + journal resume; the default and --stream layouts carry the same
+// runs and aggregate values. tests/golden/ pins the bytes of both layouts.
 //
 // Campaigns run under the src/harness fault-tolerance layer: every seed is
 // supervised (watchdog + deterministic retry/backoff), persistently failing
@@ -41,7 +42,7 @@ struct SeedOutcome {
 struct CampaignEngineSpec {
   int seeds = 0;
   int jobs = 1;
-  bool stream = false;
+  bool stream = false;         // --stream: runs emitted as committed, aggregates trail
   std::string out_path;
   std::string label;           // "campaign:dense" etc — exception context
   CampaignIdentity identity;   // what --journal records / --resume verifies
@@ -91,16 +92,15 @@ struct Aggregate {
 
 void WriteAggregate(JsonWriter* w, const std::string& key, const Aggregate& a);
 
-// Seed-order fold over one summary slot, shared by the buffered and
-// streaming paths — one implementation, so byte-identity cannot drift.
+// Seed-order fold over one summary slot, shared by every command's
+// aggregate block in both layouts.
 Aggregate FoldAggregateAt(const std::vector<std::vector<double>>& summaries, std::size_t slot);
 
-// BYTEROBUST_STREAM_CAMPAIGN=0 pins the buffered reference path (all
-// RunResults held in memory before emission) so the streaming merger can be
-// byte-compared against it. The default streams per-seed JSON through
-// per-worker spill files, bounding campaign memory at O(window) per worker
-// regardless of --seeds.
-bool StreamCampaignEnabled();
+// How far past the oldest uncommitted seed a worker may claim, per worker.
+// This caps the finished-but-uncommitted elements held in memory at 16 per
+// worker whatever --seeds is: a straggler seed (a slow draw, a watchdog
+// retry) stalls new claims instead of letting the rest pile up behind it.
+inline constexpr int kCommitWindowPerWorker = 16;
 
 // Runs the campaign and returns the process exit code (src/harness/
 // exit_codes.h). A setup-stage failure returns kExitUsage: the message goes

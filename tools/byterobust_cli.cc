@@ -146,8 +146,8 @@ int Usage() {
                "\n"
                "  --stream emits each seed's JSON as soon as it is next in seed order\n"
                "  (the aggregate block then follows the runs array instead of preceding\n"
-               "  it); without it, workers spill finished seeds to temp files and the\n"
-               "  merger emits the standard layout with O(window) memory.\n"
+               "  it); without it, seeds are committed in order to one temp file that\n"
+               "  follows the aggregate block. Memory stays O(--jobs) either way.\n"
                "\n"
                "  --journal FILE appends each committed seed to a crash-safe manifest\n"
                "  (--journal-sync additionally fdatasyncs every record, surviving\n"

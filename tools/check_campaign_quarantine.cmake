@@ -1,8 +1,8 @@
 # ctest helper: a seed that fails every attempt must be quarantined — the
 # campaign completes, reports the poisoned seed in a structured "failed_runs"
 # block, exits with the completed-with-quarantined code (20), and the
-# surviving seeds are unchanged. Verified on the default (spill) path and the
-# --stream path, and the two must agree on the surviving runs.
+# surviving seeds are unchanged. Verified in the default layout and the
+# --stream layout, and the two must agree on the surviving runs.
 #
 #   cmake -DCLI=<byterobust binary> -DWORK_DIR=<scratch dir> -P check_campaign_quarantine.cmake
 

@@ -23,7 +23,7 @@ file(MAKE_DIRECTORY ${WORK_DIR})
 
 set(scenario "campaign;--scenario;gpu-fault;--seeds;6;--days;0.2;--seed;42")
 
-# References: plain (spill-streaming default) and --stream layouts.
+# References: default and --stream layouts.
 execute_process(
     COMMAND ${CLI} ${scenario} --out ${WORK_DIR}/ref_default.json
     OUTPUT_QUIET

@@ -2,8 +2,7 @@
 # deterministically —
 #   - `fleet --scenario fleet-mixed --seeds 8` must emit byte-identical JSON
 #     at --jobs 1 and --jobs 8 (seeds map to fixed output slots, seed-ordered
-#     merge), and byte-identical to the buffered reference path
-#     (BYTEROBUST_STREAM_CAMPAIGN=0);
+#     commit);
 #   - --stream (incremental layout, aggregate trailing) must carry the exact
 #     same runs and aggregate values, compared as parsed JSON when python3 is
 #     available, with a structural fallback otherwise.
@@ -36,23 +35,6 @@ execute_process(
     RESULT_VARIABLE diff)
 if(NOT diff EQUAL 0)
   message(FATAL_ERROR "fleet JSON differs between --jobs 1 and --jobs 8")
-endif()
-
-# Buffered reference path must match the default spill-streaming output.
-execute_process(
-    COMMAND ${CMAKE_COMMAND} -E env BYTEROBUST_STREAM_CAMPAIGN=0
-        ${CLI} ${scenario} --out ${WORK_DIR}/fleet_buffered.json
-    OUTPUT_QUIET
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "buffered fleet reference failed with ${rc}")
-endif()
-execute_process(
-    COMMAND ${CMAKE_COMMAND} -E compare_files
-        ${WORK_DIR}/fleet_jobs1.json ${WORK_DIR}/fleet_buffered.json
-    RESULT_VARIABLE diff)
-if(NOT diff EQUAL 0)
-  message(FATAL_ERROR "fleet JSON differs between spill-streaming and buffered paths")
 endif()
 
 # --stream: same content, incremental layout.

@@ -1,8 +1,8 @@
 # ctest helper: a campaign that rides through injected harness faults
 # (probabilistic crashes, throws, and cooperative hangs, with retries and a
 # short watchdog deadline) must complete with exit 0 and emit output
-# byte-identical to a clean run — on all three output paths (buffered, spill
-# streaming, --stream) at --jobs 1 and --jobs 8. Fault draws are keyed on
+# byte-identical to a clean run — in both document layouts (default and
+# --stream) at --jobs 1 and --jobs 8. Fault draws are keyed on
 # (campaign seed, seed index, attempt, kind), so the same seeds fault the same
 # way regardless of worker count, and retries absorb every fault.
 #
@@ -41,13 +41,10 @@ if(NOT rc EQUAL 0)
 endif()
 
 foreach(jobs 1 8)
-  foreach(path buffered spill stream)
+  foreach(path default stream)
     set(ref ${WORK_DIR}/clean_default.json)
-    set(stream_env BYTEROBUST_STREAM_CAMPAIGN=1)
     set(extra "")
-    if(path STREQUAL "buffered")
-      set(stream_env BYTEROBUST_STREAM_CAMPAIGN=0)
-    elseif(path STREQUAL "stream")
+    if(path STREQUAL "stream")
       set(extra "--stream")
       set(ref ${WORK_DIR}/clean_stream.json)
     endif()
@@ -57,7 +54,6 @@ foreach(jobs 1 8)
             BYTEROBUST_HARNESS_FAULTS=${faults}
             BYTEROBUST_SEED_RETRIES=8
             BYTEROBUST_SEED_TIMEOUT_S=0.5
-            ${stream_env}
             ${CLI} ${scenario} --jobs ${jobs} ${extra} --out ${out}
         OUTPUT_QUIET
         RESULT_VARIABLE rc)

@@ -1,10 +1,10 @@
 # ctest helper: observability is a strict side channel. Campaign, fleet and
 # serve outputs must be byte-identical with --trace/--dashboard (or
-# BYTEROBUST_TRACE) enabled vs. disabled — across all three campaign output
-# paths (buffered, spill streaming, --stream) at --jobs 1 and 8 — and every
+# BYTEROBUST_TRACE) enabled vs. disabled — in both document layouts
+# (default and --stream) at --jobs 1 and 8 — and every
 # emitted trace must pass tools/trace_validate.py (balanced B/E spans,
 # monotone per-track timestamps). Dashboards must themselves be
-# byte-identical across --jobs and output paths (they sample the simulation,
+# byte-identical across --jobs and layouts (they sample the simulation,
 # not the scheduler).
 #
 #   cmake -DCLI=<byterobust binary> -DWORK_DIR=<scratch dir> -P check_observability.cmake
@@ -52,26 +52,22 @@ foreach(kind campaign fleet)
   endforeach()
 endforeach()
 
-# Observability on: every path x jobs combination must reproduce the clean
+# Observability on: every layout x jobs combination must reproduce the clean
 # bytes, emit a valid trace, and emit the same dashboard as every other
 # combination of the same command.
 foreach(kind campaign fleet)
   set(first_dash "")
   foreach(jobs 1 8)
-    foreach(path buffered spill stream)
+    foreach(path default stream)
       set(tag ${kind}_${path}_${jobs})
       set(ref ${WORK_DIR}/ref_${kind}_default.json)
-      set(stream_env BYTEROBUST_STREAM_CAMPAIGN=1)
       set(extra "")
-      if(path STREQUAL "buffered")
-        set(stream_env BYTEROBUST_STREAM_CAMPAIGN=0)
-      elseif(path STREQUAL "stream")
+      if(path STREQUAL "stream")
         set(extra "--stream")
         set(ref ${WORK_DIR}/ref_${kind}_stream.json)
       endif()
       execute_process(
-          COMMAND ${CMAKE_COMMAND} -E env ${stream_env}
-              ${CLI} ${${kind}_cmd} --jobs ${jobs} ${extra}
+          COMMAND ${CLI} ${${kind}_cmd} --jobs ${jobs} ${extra}
               --trace ${WORK_DIR}/trace_${tag}.json
               --dashboard ${WORK_DIR}/dash_${tag}.json
               --out ${WORK_DIR}/out_${tag}.json
