@@ -23,6 +23,7 @@
 #include "src/serve/server.h"
 #include "src/sim/simulator.h"
 #include "src/tracer/stack_synth.h"
+#include "src/training/job_config.h"
 #include "src/training/train_job.h"
 
 namespace byterobust {
@@ -240,6 +241,23 @@ void BM_StackAggregation(benchmark::State& state) {
   state.counters["ranks"] = topo.world_size();
 }
 BENCHMARK(BM_StackAggregation)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
+
+// The controller's hang-analysis path on the 9,600-rank dense job: the
+// whole-pod snapshot synthesized as rank runs (a dozen, not 28,800 process
+// stacks) and aggregated. BM_StackAggregation above times the per-rank
+// adapter on the same kind of pod.
+void BM_PodRunAggregation(benchmark::State& state) {
+  const Topology topo(ProductionDenseJob().parallelism);
+  const AggregationAnalyzer analyzer;
+  const Rank culprit = topo.world_size() / 2 + 3;
+  for (auto _ : state) {
+    const AggregationResult result = analyzer.Analyze(
+        SynthesizeFullPodRuns(topo, culprit, HangSite::kTensorCollective), topo);
+    benchmark::DoNotOptimize(result.machines_to_evict.data());
+  }
+  state.counters["ranks"] = topo.world_size();
+}
+BENCHMARK(BM_PodRunAggregation)->Unit(benchmark::kMicrosecond);
 
 void BM_FindCoveringGroup(benchmark::State& state) {
   const Topology topo = MakeTopo(static_cast<int>(state.range(0)));

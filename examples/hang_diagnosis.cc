@@ -47,9 +47,13 @@ int main() {
   const AggregationResult result = analyzer.Analyze(stacks, topo);
   std::printf("stack aggregation groups (dominant = healthy):\n");
   for (const StackGroup& group : result.groups) {
-    std::printf("--- group of %zu ranks on machines [", group.ranks.size());
-    for (std::size_t i = 0; i < group.machines.size(); ++i) {
-      std::printf("%s%d", i ? "," : "", group.machines[i]);
+    std::printf("--- group of %d ranks on machines [", group.rank_count);
+    for (std::size_t i = 0; i < group.machine_runs.size(); ++i) {
+      const IdRun& run = group.machine_runs[i];
+      std::printf("%s%d", i ? "," : "", run.first);
+      if (run.count > 1) {
+        std::printf("-%d", run.last());
+      }
     }
     std::printf("] %s\n%s", group.healthy ? "(healthy)" : "(OUTLIER)",
                 group.representative.ToString().c_str());

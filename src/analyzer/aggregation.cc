@@ -1,105 +1,104 @@
 #include "src/analyzer/aggregation.h"
 
 #include <algorithm>
-#include <cstddef>
-#include <set>
-#include <unordered_map>
-
-#include "src/tracer/stack_synth.h"
+#include <array>
+#include <stdexcept>
 
 namespace byterobust {
 
 namespace {
 
-// FNV-1a over (kind, shared-storage identity). Stacks are shared-immutable
-// copies of a handful of canned patterns, so hashing the storage pointer is
-// O(1) per stack instead of re-hashing every frame string. This makes
-// grouping identity-based: structurally equal traces built as separate
-// objects would form separate groups (see StackTrace::identity()), so every
-// producer must intern its patterns — all of stack_synth.cc's builders do.
-// Group *order* is first-encounter order followed by a deterministic
-// (size, key) sort, so the result never depends on the hash values
-// themselves. The pointer mix below is the one BR-POINTER-ORDER suppression
-// in tools/determinism_lint_allow.txt — keep this invariant if you touch it.
-std::size_t HashStack(ProcessKind kind, const StackTrace& stack) {
-  std::size_t h = 14695981039346656037ull;
-  const auto mix = [&h](std::size_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(static_cast<std::size_t>(kind));
-  mix(reinterpret_cast<std::size_t>(stack.identity()));
-  return h;
+// Sorts `runs` by first id and merges overlapping or adjacent runs.
+void MergeRuns(std::vector<IdRun>* runs) {
+  std::sort(runs->begin(), runs->end(),
+            [](const IdRun& a, const IdRun& b) { return a.first < b.first; });
+  std::size_t merged = 0;
+  for (const IdRun& run : *runs) {
+    if (merged > 0 && run.first <= (*runs)[merged - 1].last() + 1) {
+      IdRun& prev = (*runs)[merged - 1];
+      prev.count = std::max(prev.last(), run.last()) - prev.first + 1;
+    } else {
+      (*runs)[merged++] = run;
+    }
+  }
+  runs->resize(merged);
 }
 
 }  // namespace
 
-AggregationResult AggregationAnalyzer::Analyze(const std::vector<ProcessStack>& stacks,
+AggregationResult AggregationAnalyzer::Analyze(const std::vector<StackRun>& runs,
                                                const Topology& topology) const {
   AggregationResult result;
-  if (stacks.empty()) {
-    return result;
-  }
 
-  // Step 2: group stacks by exact (kind, frames) identity. Subprocess stacks
-  // participate too; a wedged dataloader on one machine forms its own
-  // singleton group. Hash buckets hold indices into `result.groups`;
-  // collisions fall back to structural comparison against the
-  // representative.
-  std::unordered_map<std::size_t, std::vector<std::size_t>> buckets;
-  buckets.reserve(stacks.size() * 2);
+  // Step 2: group runs by exact (kind, stack). Subprocess stacks participate
+  // too; a wedged dataloader on one machine forms its own singleton group.
+  // A snapshot has a handful of groups, so a linear scan finds a run's group
+  // without hashing, and copies of one interned stack compare by identity.
   std::vector<ProcessKind> group_kinds;
-  for (const ProcessStack& ps : stacks) {
-    const std::size_t h = HashStack(ps.kind, ps.stack);
-    std::vector<std::size_t>& bucket = buckets[h];
-    StackGroup* group = nullptr;
-    for (std::size_t idx : bucket) {
-      if (group_kinds[idx] == ps.kind && result.groups[idx].representative == ps.stack) {
-        group = &result.groups[idx];
-        break;
-      }
+  for (const StackRun& run : runs) {
+    if (run.count <= 0) {
+      continue;
     }
-    if (group == nullptr) {
-      bucket.push_back(result.groups.size());
-      group_kinds.push_back(ps.kind);
+    std::size_t g = 0;
+    while (g < result.groups.size() &&
+           (group_kinds[g] != run.kind || !(result.groups[g].representative == *run.stack))) {
+      ++g;
+    }
+    if (g == result.groups.size()) {
+      group_kinds.push_back(run.kind);
       result.groups.emplace_back();
-      group = &result.groups.back();
-      group->representative = ps.stack;
+      result.groups.back().representative = *run.stack;
     }
-    group->ranks.push_back(ps.rank);
-    group->machines.push_back(ps.machine);
+    StackGroup& group = result.groups[g];
+    group.rank_count += run.count;
+    if (!group.rank_runs.empty() && group.rank_runs.back().last() + 1 == run.first) {
+      group.rank_runs.back().count += run.count;
+    } else {
+      group.rank_runs.push_back({run.first, run.count});
+    }
+  }
+  if (result.groups.empty()) {
+    return result;
   }
 
   for (std::size_t i = 0; i < result.groups.size(); ++i) {
     StackGroup& group = result.groups[i];
     group.key = std::string(ProcessKindName(group_kinds[i])) + "|" + group.representative.Key();
-    std::sort(group.machines.begin(), group.machines.end());
-    group.machines.erase(std::unique(group.machines.begin(), group.machines.end()),
-                         group.machines.end());
+    // Ranks fill machines in order, so a run of ranks sits on exactly the
+    // machines from its first rank's to its last rank's.
+    for (const IdRun& ranks : group.rank_runs) {
+      const MachineId first = topology.MachineOfRank(ranks.first);
+      group.machine_runs.push_back({first, topology.MachineOfRank(ranks.last()) - first + 1});
+    }
+    MergeRuns(&group.machine_runs);
   }
   std::sort(result.groups.begin(), result.groups.end(),
             [](const StackGroup& a, const StackGroup& b) {
-              if (a.ranks.size() != b.ranks.size()) {
-                return a.ranks.size() > b.ranks.size();
+              if (a.rank_count != b.rank_count) {
+                return a.rank_count > b.rank_count;
               }
               return a.key < b.key;  // deterministic tie-break
             });
 
   // Dominant groups are healthy; subprocess groups covering every machine
-  // (idle loaders/writers) are dominant by construction.
-  const std::size_t max_size = result.groups.front().ranks.size();
-  std::set<MachineId> outliers;
-  std::set<MachineId> healthy_machines;
+  // (idle loaders/writers) are dominant by construction. A machine is an
+  // outlier if *any* of its processes shows an outlier stack, even if other
+  // processes on it look healthy.
+  const int max_size = result.groups.front().rank_count;
+  std::vector<IdRun> outliers;
   for (StackGroup& g : result.groups) {
-    g.healthy = static_cast<double>(g.ranks.size()) >=
+    g.healthy = static_cast<double>(g.rank_count) >=
                 config_.dominant_fraction * static_cast<double>(max_size);
-    for (MachineId m : g.machines) {
-      (g.healthy ? healthy_machines : outliers).insert(m);
+    if (!g.healthy) {
+      outliers.insert(outliers.end(), g.machine_runs.begin(), g.machine_runs.end());
     }
   }
-  // A machine is an outlier if *any* of its processes shows an outlier stack,
-  // even if other processes on it look healthy.
-  result.outlier_machines.assign(outliers.begin(), outliers.end());
+  MergeRuns(&outliers);
+  for (const IdRun& run : outliers) {
+    for (MachineId m = run.first; m <= run.last(); ++m) {
+      result.outlier_machines.push_back(m);
+    }
+  }
   if (result.outlier_machines.empty()) {
     return result;
   }
@@ -113,6 +112,35 @@ AggregationResult AggregationAnalyzer::Analyze(const std::vector<ProcessStack>& 
     result.machines_to_evict = result.outlier_machines;
   }
   return result;
+}
+
+AggregationResult AggregationAnalyzer::Analyze(const std::vector<ProcessStack>& stacks,
+                                               const Topology& topology) const {
+  // Each process kind extends its own latest run, so a snapshot that
+  // interleaves kinds (a rank's dataloader, then its writer, then the next
+  // rank's dataloader) still packs into a few runs per kind. Runs of one
+  // kind stay in snapshot order, and every group holds a single kind, so
+  // each group sees its ranks in snapshot order.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::array<std::size_t, kNumProcessKinds> latest;
+  latest.fill(kNone);
+  std::vector<StackRun> runs;
+  for (const ProcessStack& ps : stacks) {
+    if (ps.machine != topology.MachineOfRank(ps.rank)) {
+      throw std::invalid_argument("process stack machine differs from its rank's machine");
+    }
+    std::size_t& last = latest[static_cast<std::size_t>(ps.kind)];
+    if (last != kNone) {
+      StackRun& run = runs[last];
+      if (run.first + run.count == ps.rank && *run.stack == ps.stack) {
+        ++run.count;
+        continue;
+      }
+    }
+    last = runs.size();
+    runs.push_back(StackRun{ps.rank, 1, ps.kind, &ps.stack});
+  }
+  return Analyze(runs, topology);
 }
 
 bool FailSlowVoter::AddRound(const AggregationResult& result) {
@@ -138,51 +166,6 @@ bool FailSlowVoter::Decide(GroupKind* kind, int* index) const {
   *kind = static_cast<GroupKind>(best->first.first);
   *index = best->first.second;
   return true;
-}
-
-const AggregationResult& FailSlowVoteCache::Round(const AggregationAnalyzer& analyzer,
-                                                  const Topology& topology,
-                                                  MachineId slow_machine,
-                                                  std::uint64_t round_seed) {
-  MachineId noisy = FailSlowNoiseMachine(round_seed, topology.num_machines());
-  if (noisy == slow_machine) {
-    noisy = -1;  // jitter on the laggard itself changes nothing
-  }
-  const std::pair<MachineId, MachineId> key{slow_machine, noisy};
-  const auto it = results_.find(key);
-  if (it != results_.end()) {
-    return it->second;
-  }
-  if (pod_slow_ != slow_machine) {
-    // One synthesis per distinct slow machine: the noise-free round (built
-    // directly so no jitter draw is involved).
-    pod_.clear();
-    pod_.reserve(static_cast<std::size_t>(topology.world_size()));
-    for (Rank r = 0; r < topology.world_size(); ++r) {
-      ProcessStack ps;
-      ps.rank = r;
-      ps.machine = topology.MachineOfRank(r);
-      ps.kind = ProcessKind::kTrainer;
-      ps.stack = ps.machine == slow_machine ? ComputeKernelStack() : HealthyGradSyncStack();
-      pod_.push_back(std::move(ps));
-    }
-    pod_slow_ = slow_machine;
-  }
-  AggregationResult result;
-  if (noisy < 0) {
-    result = analyzer.Analyze(pod_, topology);
-  } else {
-    // Patch only the noisy machine's ranks; stacks stay interned, so the
-    // aggregation sees storage-identical frames to a fresh synthesis.
-    std::vector<ProcessStack> round_pod = pod_;
-    for (ProcessStack& ps : round_pod) {
-      if (ps.machine == noisy) {
-        ps.stack = ComputeKernelStack();
-      }
-    }
-    result = analyzer.Analyze(round_pod, topology);
-  }
-  return results_.emplace(key, std::move(result)).first->second;
 }
 
 }  // namespace byterobust

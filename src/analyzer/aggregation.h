@@ -7,14 +7,17 @@
 // healthy, the rest are outliers; (3) the shared parallel group covering the
 // outlier machines is isolated and over-evicted.
 //
-// Grouping hashes (process kind, stack frames) directly instead of
-// concatenating a key string per stack; the canonical key string is built
-// once per distinct group, purely for reporting and deterministic ordering.
+// The analysis works on run-length snapshots (StackRun): grouping, machine
+// footprints and the verdict cost O(runs x groups + outlier machines), not
+// O(processes). A group is (process kind, stack value): copies of one
+// interned stack match by storage identity without touching the frames, and
+// equal stacks built separately still share a group. The canonical key
+// string is built once per group, for reporting and deterministic ordering.
+// The per-rank overload packs ProcessStacks into runs and shares the core.
 
 #ifndef SRC_ANALYZER_AGGREGATION_H_
 #define SRC_ANALYZER_AGGREGATION_H_
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <utility>
@@ -31,12 +34,22 @@ struct AggregationConfig {
   double dominant_fraction = 0.5;
 };
 
+// A run of consecutive ids [first, first + count): ranks or machines.
+struct IdRun {
+  int first = 0;
+  int count = 0;
+
+  int last() const { return first + count - 1; }
+  bool operator==(const IdRun&) const = default;
+};
+
 // One aggregated stack group.
 struct StackGroup {
   std::string key;
   StackTrace representative;
-  std::vector<Rank> ranks;
-  std::vector<MachineId> machines;  // deduplicated, sorted
+  int rank_count = 0;               // processes in the group
+  std::vector<IdRun> rank_runs;     // snapshot order, adjacent runs merged
+  std::vector<IdRun> machine_runs;  // sorted, overlapping and adjacent runs merged
   bool healthy = false;
 };
 
@@ -57,6 +70,11 @@ class AggregationAnalyzer {
  public:
   explicit AggregationAnalyzer(const AggregationConfig& config = {}) : config_(config) {}
 
+  AggregationResult Analyze(const std::vector<StackRun>& runs, const Topology& topology) const;
+
+  // Per-rank adapter: packs each process kind's consecutive ranks with
+  // equal stacks into runs. Each stack's machine must be its rank's machine
+  // in `topology` (std::invalid_argument otherwise).
   AggregationResult Analyze(const std::vector<ProcessStack>& stacks,
                             const Topology& topology) const;
 
@@ -86,34 +104,6 @@ class FailSlowVoter {
   int rounds_needed_;
   int rounds_seen_ = 0;
   std::map<std::pair<int, int>, int> flags_;  // (kind, index) -> count
-};
-
-// Memoized fail-slow rounds. A voting round's snapshot is fully determined
-// by (slow machine, jitter machine): the pod stacks are a pure function of
-// that pair, so instead of re-synthesising and re-aggregating the full pod
-// every 10-second round, the cache keeps one synthesized base pod per slow
-// machine (patched in place when the round adds a noisy machine) and memoizes
-// each pair's AggregationResult for the controller's lifetime — the topology
-// never changes under a job. Round() returns exactly what
-// analyzer.Analyze(SynthesizeFailSlowStacks(topology, slow, seed), topology)
-// would (the stacks share the same interned storage), so voting decisions
-// are unchanged.
-//
-// Threading model: despite being a cache, this is *not* process-wide shared
-// state — each RobustController owns one instance, and a controller (with
-// its whole per-seed system stack) is confined to a single campaign worker
-// thread. It is deliberately unsynchronized; do not lift an instance into a
-// static or share it across systems without adding a Mutex and
-// BR_GUARDED_BY annotations (src/common/sync.h).
-class FailSlowVoteCache {
- public:
-  const AggregationResult& Round(const AggregationAnalyzer& analyzer, const Topology& topology,
-                                 MachineId slow_machine, std::uint64_t round_seed);
-
- private:
-  MachineId pod_slow_ = -2;          // slow machine the cached pod models
-  std::vector<ProcessStack> pod_;    // laggard = slow machine only
-  std::map<std::pair<MachineId, MachineId>, AggregationResult> results_;
 };
 
 }  // namespace byterobust

@@ -394,8 +394,8 @@ void RobustController::RunAggregationAnalysis() {
         }
       }
     }
-    const auto stacks = SynthesizeFullPodStacks(job_->topology(), culprit, site);
-    const AggregationResult result = analyzer_.Analyze(stacks, job_->topology());
+    const AggregationResult result =
+        analyzer_.Analyze(SynthesizeFullPodRuns(job_->topology(), culprit, site), job_->topology());
     if (result.machines_to_evict.empty()) {
       RunStopTimeChecks(false);
       return;
@@ -428,16 +428,14 @@ void RobustController::RunFailSlowVoting(int round, std::shared_ptr<FailSlowVote
         }
       }
     }
-    static const AggregationResult kCleanRound{};
-    const AggregationResult* result = &kCleanRound;
+    AggregationResult result;  // no slow machine: a clean round flags nothing
     if (slow >= 0) {
-      // Memoized per (slow, jitter) pair: only the noisy machine changes
-      // between rounds, so the pod is synthesized once and repeated rounds
-      // skip the aggregation entirely (identical results either way).
-      result = &failslow_cache_.Round(analyzer_, job_->topology(), cluster_->SlotOfMachine(slow),
-                                      static_cast<std::uint64_t>(sim_->Now() + round));
+      result = analyzer_.Analyze(
+          SynthesizeFailSlowRuns(job_->topology(), cluster_->SlotOfMachine(slow),
+                                 static_cast<std::uint64_t>(sim_->Now() + round)),
+          job_->topology());
     }
-    voter->AddRound(*result);
+    voter->AddRound(result);
     if (!voter->Ready()) {
       RunFailSlowVoting(round + 1, voter);
       return;

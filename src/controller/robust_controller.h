@@ -168,8 +168,6 @@ class RobustController {
   CheckpointManager* ckpt_;
   Rng rng_;
   AggregationAnalyzer analyzer_;
-  // Memoized fail-slow voting rounds (pure in (slow, jitter) per topology).
-  FailSlowVoteCache failslow_cache_;
 
   RestartListener restart_listener_;
   std::deque<Incident> pending_incidents_;  // injected, not yet attributed

@@ -1,5 +1,7 @@
 #include "src/tracer/stack_synth.h"
 
+#include <algorithm>
+
 namespace byterobust {
 
 namespace {
@@ -10,6 +12,17 @@ std::uint64_t Mix(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
+}
+
+// Roughly every third round, one random healthy machine is also caught
+// mid-compute (sampling jitter): single-round aggregation would misfire.
+// Returns that machine, or -1 for a clean round.
+MachineId FailSlowNoiseMachine(std::uint64_t round_seed, int num_machines) {
+  const std::uint64_t h = Mix(round_seed);
+  if ((h % 3) != 0) {
+    return -1;
+  }
+  return static_cast<MachineId>(Mix(h) % static_cast<std::uint64_t>(num_machines));
 }
 
 }  // namespace
@@ -98,123 +111,159 @@ const StackTrace& ComputeKernelStack() {
 
 namespace {
 
-// Trainer-process stack for one rank during a hang seeded at `culprit`.
-// Every branch returns an interned instance, so the caller's copy is shared.
-const StackTrace& TrainerStackDuringHang(const Topology& topo, Rank rank, Rank culprit,
-                                         HangSite site) {
-  const RankCoord rc = topo.CoordOf(rank);
-  const RankCoord cc = topo.CoordOf(culprit);
+const StackTrace& WaitCkptFlushStack() {
+  // Optimizer step gated on the wedged checkpoint save (Sec. 6.3: the step
+  // waits for each rank's own save to complete).
+  static const StackTrace trace{{
+      {"optimizer_step", "my_megatron/training.py", 455},
+      {"wait_ckpt_flush", "my_megatron/ckpt/manager.py", 203},
+  }};
+  return trace;
+}
 
-  if (site == HangSite::kDataLoader && rank == culprit) {
-    return DataLoaderWaitStack();  // trainer starves waiting for the batch
-  }
-  if (site == HangSite::kCheckpointWriter && rank == culprit) {
-    // Optimizer step gated on the wedged checkpoint save (Sec. 6.3: the step
-    // waits for each rank's own save to complete).
-    static const StackTrace kWaitCkptFlush{{
-        {"optimizer_step", "my_megatron/training.py", 455},
-        {"wait_ckpt_flush", "my_megatron/ckpt/manager.py", 203},
-    }};
-    return kWaitCkptFlush;
-  }
-
-  const bool same_tp_group = rc.pp == cc.pp && rc.dp == cc.dp;
-  // Pipeline starvation hits the whole stage: both TP ranks of each earlier
-  // stage in the culprit's DP column block together (Fig. 7, machines 12-14).
-  const bool upstream_stage = rc.dp == cc.dp && rc.pp < cc.pp;
-
-  if (site == HangSite::kTensorCollective || site == HangSite::kDataLoader ||
-      site == HangSite::kCheckpointWriter) {
-    if (same_tp_group) {
-      // The culprit's TP peers wait in the same tensor-parallel collective.
+// What the culprit's own trainer shows for each hang site.
+const StackTrace& CulpritTrainerStack(HangSite site) {
+  switch (site) {
+    case HangSite::kTensorCollective:
       return TensorCollectiveStack();
+    case HangSite::kPipelineP2p:
+      return PipelineIrecvStack();
+    case HangSite::kDataLoader:
+      return DataLoaderWaitStack();  // trainer starves waiting for the batch
+    case HangSite::kCheckpointWriter:
+      return WaitCkptFlushStack();
+  }
+  return TensorCollectiveStack();
+}
+
+// Appends ranks [first, first + count) to `runs`, extending the last run
+// when they continue it with the same kind and stack. Empty ranges vanish.
+void Append(std::vector<StackRun>* runs, Rank first, int count, ProcessKind kind,
+            const StackTrace& stack) {
+  if (count <= 0) {
+    return;
+  }
+  if (!runs->empty()) {
+    StackRun& last = runs->back();
+    if (last.kind == kind && last.stack == &stack && last.first + last.count == first) {
+      last.count += count;
+      return;
     }
-  } else if (site == HangSite::kPipelineP2p && rank == culprit) {
-    return PipelineIrecvStack();
-  } else if (site == HangSite::kPipelineP2p && same_tp_group) {
-    return TensorCollectiveStack();
   }
+  runs->push_back(StackRun{first, count, kind, &stack});
+}
 
-  if (upstream_stage) {
-    // Backward gradients flow from later stages toward stage 0; stages below
-    // the stalled one starve. The adjacent stage is caught mid fused
-    // send/recv in isend, earlier stages in irecv (Fig. 7).
-    return rc.pp == cc.pp - 1 ? PipelineIsendStack() : PipelineIrecvStack();
+// `idle` on every rank but the culprit, which shows `culprit_stack`.
+void AppendAroundCulprit(std::vector<StackRun>* runs, const Topology& topology, Rank culprit,
+                         ProcessKind kind, const StackTrace& idle,
+                         const StackTrace& culprit_stack) {
+  Append(runs, 0, culprit, kind, idle);
+  Append(runs, culprit, 1, kind, culprit_stack);
+  Append(runs, culprit + 1, topology.world_size() - culprit - 1, kind, idle);
+}
+
+// Expands runs to one ProcessStack per process: trainers first in rank
+// order, then each rank's dataloader and checkpoint writer side by side.
+// Every snapshot covers all trainers and either all or none of the
+// subprocesses, so each process lands in its own slot.
+std::vector<ProcessStack> ExpandRuns(const Topology& topology, const std::vector<StackRun>& runs) {
+  std::size_t processes = 0;
+  for (const StackRun& run : runs) {
+    processes += static_cast<std::size_t>(run.count);
   }
-
-  // Everyone else completed backward kernels and parks in DP gradient sync.
-  return HealthyGradSyncStack();
+  const std::size_t world = static_cast<std::size_t>(topology.world_size());
+  std::vector<ProcessStack> out(processes);
+  for (const StackRun& run : runs) {
+    for (Rank r = run.first; r < run.first + run.count; ++r) {
+      std::size_t slot = static_cast<std::size_t>(r);
+      if (run.kind != ProcessKind::kTrainer) {
+        slot = world + 2 * slot + (run.kind == ProcessKind::kCheckpointWriter ? 1 : 0);
+      }
+      out[slot] = ProcessStack{r, topology.MachineOfRank(r), run.kind, *run.stack};
+    }
+  }
+  return out;
 }
 
 }  // namespace
 
+std::vector<StackRun> SynthesizeHangRuns(const Topology& topology, Rank culprit, HangSite site) {
+  // Ranks are laid out TP-innermost, then PP, then DP, so each rule of the
+  // Fig. 7 propagation pattern covers one contiguous rank range.
+  const int tp = topology.config().tp;
+  const RankCoord cc = topology.CoordOf(culprit);
+  const Rank column = tp * topology.config().pp * cc.dp;  // the culprit's DP column, pp = 0
+  const Rank tp_group = column + tp * cc.pp;              // the culprit's TP group
+  std::vector<StackRun> runs;
+  Append(&runs, 0, column, ProcessKind::kTrainer, HealthyGradSyncStack());
+  // Pipeline starvation hits whole stages of the culprit's DP column below
+  // the stalled one (Fig. 7, machines 12-14): backward gradients flow toward
+  // stage 0, so the adjacent stage is caught mid fused send/recv in isend and
+  // earlier stages in irecv.
+  if (cc.pp > 0) {
+    Append(&runs, column, tp * (cc.pp - 1), ProcessKind::kTrainer, PipelineIrecvStack());
+    Append(&runs, tp_group - tp, tp, ProcessKind::kTrainer, PipelineIsendStack());
+  }
+  // The culprit's TP peers wait in the same tensor-parallel collective.
+  Append(&runs, tp_group, culprit - tp_group, ProcessKind::kTrainer, TensorCollectiveStack());
+  Append(&runs, culprit, 1, ProcessKind::kTrainer, CulpritTrainerStack(site));
+  Append(&runs, culprit + 1, tp_group + tp - culprit - 1, ProcessKind::kTrainer,
+         TensorCollectiveStack());
+  // Everyone else completed backward kernels and parks in DP gradient sync.
+  Append(&runs, tp_group + tp, topology.world_size() - tp_group - tp, ProcessKind::kTrainer,
+         HealthyGradSyncStack());
+  return runs;
+}
+
+std::vector<StackRun> SynthesizeFullPodRuns(const Topology& topology, Rank culprit,
+                                            HangSite site) {
+  std::vector<StackRun> runs = SynthesizeHangRuns(topology, culprit, site);
+  AppendAroundCulprit(&runs, topology, culprit, ProcessKind::kDataLoader, DataLoaderIdleStack(),
+                      site == HangSite::kDataLoader ? DataLoaderStuckStack()
+                                                    : DataLoaderIdleStack());
+  AppendAroundCulprit(&runs, topology, culprit, ProcessKind::kCheckpointWriter,
+                      CkptWriterIdleStack(),
+                      site == HangSite::kCheckpointWriter ? CkptWriterStuckStack()
+                                                          : CkptWriterIdleStack());
+  return runs;
+}
+
+std::vector<StackRun> SynthesizeFailSlowRuns(const Topology& topology, MachineId slow_machine,
+                                             std::uint64_t round_seed) {
+  const MachineId noisy = FailSlowNoiseMachine(round_seed, topology.num_machines());
+  const auto [low, high] = std::minmax({slow_machine, noisy});
+  const int gpus = topology.config().gpus_per_machine;
+  std::vector<StackRun> runs;
+  Rank next = 0;
+  for (MachineId laggard : {low, high}) {
+    // Skip -1 (no jitter this round), a machine outside the topology, and
+    // jitter that lands on the slow machine itself.
+    if (laggard < 0 || laggard >= topology.num_machines() || laggard * gpus < next) {
+      continue;
+    }
+    Append(&runs, next, laggard * gpus - next, ProcessKind::kTrainer, HealthyGradSyncStack());
+    Append(&runs, laggard * gpus, gpus, ProcessKind::kTrainer, ComputeKernelStack());
+    next = (laggard + 1) * gpus;
+  }
+  Append(&runs, next, topology.world_size() - next, ProcessKind::kTrainer,
+         HealthyGradSyncStack());
+  return runs;
+}
+
 std::vector<ProcessStack> SynthesizeHangStacks(const Topology& topology, Rank culprit,
                                                HangSite site) {
-  std::vector<ProcessStack> out;
-  out.reserve(static_cast<std::size_t>(topology.world_size()));
-  for (Rank r = 0; r < topology.world_size(); ++r) {
-    ProcessStack ps;
-    ps.rank = r;
-    ps.machine = topology.MachineOfRank(r);
-    ps.kind = ProcessKind::kTrainer;
-    ps.stack = TrainerStackDuringHang(topology, r, culprit, site);
-    out.push_back(std::move(ps));
-  }
-  return out;
+  return ExpandRuns(topology, SynthesizeHangRuns(topology, culprit, site));
 }
 
 std::vector<ProcessStack> SynthesizeFullPodStacks(const Topology& topology, Rank culprit,
                                                   HangSite site) {
-  std::vector<ProcessStack> out = SynthesizeHangStacks(topology, culprit, site);
-  for (Rank r = 0; r < topology.world_size(); ++r) {
-    ProcessStack loader;
-    loader.rank = r;
-    loader.machine = topology.MachineOfRank(r);
-    loader.kind = ProcessKind::kDataLoader;
-    loader.stack = (site == HangSite::kDataLoader && r == culprit) ? DataLoaderStuckStack()
-                                                                   : DataLoaderIdleStack();
-    out.push_back(std::move(loader));
-
-    ProcessStack writer;
-    writer.rank = r;
-    writer.machine = topology.MachineOfRank(r);
-    writer.kind = ProcessKind::kCheckpointWriter;
-    writer.stack = (site == HangSite::kCheckpointWriter && r == culprit)
-                       ? CkptWriterStuckStack()
-                       : CkptWriterIdleStack();
-    out.push_back(std::move(writer));
-  }
-  return out;
-}
-
-MachineId FailSlowNoiseMachine(std::uint64_t round_seed, int num_machines) {
-  // Roughly every third round, one random healthy machine is also caught
-  // mid-compute (sampling jitter): single-round aggregation would misfire.
-  const std::uint64_t h = Mix(round_seed);
-  if ((h % 3) != 0) {
-    return -1;
-  }
-  return static_cast<MachineId>(Mix(h) % static_cast<std::uint64_t>(num_machines));
+  return ExpandRuns(topology, SynthesizeFullPodRuns(topology, culprit, site));
 }
 
 std::vector<ProcessStack> SynthesizeFailSlowStacks(const Topology& topology,
                                                    MachineId slow_machine,
                                                    std::uint64_t round_seed) {
-  std::vector<ProcessStack> out;
-  out.reserve(static_cast<std::size_t>(topology.world_size()));
-  const MachineId noisy = FailSlowNoiseMachine(round_seed, topology.num_machines());
-
-  for (Rank r = 0; r < topology.world_size(); ++r) {
-    const MachineId m = topology.MachineOfRank(r);
-    ProcessStack ps;
-    ps.rank = r;
-    ps.machine = m;
-    ps.kind = ProcessKind::kTrainer;
-    const bool laggard = m == slow_machine || (m == noisy && m != slow_machine);
-    ps.stack = laggard ? ComputeKernelStack() : HealthyGradSyncStack();
-    out.push_back(std::move(ps));
-  }
-  return out;
+  return ExpandRuns(topology, SynthesizeFailSlowRuns(topology, slow_machine, round_seed));
 }
 
 }  // namespace byterobust

@@ -1,6 +1,7 @@
-// Stack synthesis: produces the per-rank stacks the on-demand tracer would
-// capture for a given runtime condition, implementing the hang-propagation
-// pattern of Fig. 7.
+// Stack synthesis: produces the stacks the on-demand tracer would capture
+// for a given runtime condition, implementing the hang-propagation pattern
+// of Fig. 7. The rules emit rank runs (StackRun); the per-rank
+// ProcessStack forms expand them.
 //
 // When one rank stalls, its TP peers block in the same tensor-parallel
 // collective; the adjacent upstream pipeline stage blocks in isend, earlier
@@ -28,8 +29,8 @@ enum class HangSite {
 };
 
 // Canonical stacks (shared with tests so expectations stay in one place).
-// Each is a single interned instance: copies share the frame storage, so
-// assembling a whole-pod snapshot costs a refcount bump per process.
+// Each is a single interned instance that lives for the whole program, so
+// StackRuns can point at it.
 const StackTrace& HealthyGradSyncStack();
 const StackTrace& TensorCollectiveStack();
 const StackTrace& PipelineIsendStack();
@@ -41,29 +42,34 @@ const StackTrace& CkptWriterIdleStack();
 const StackTrace& CkptWriterStuckStack();
 const StackTrace& ComputeKernelStack();    // mid-backward compute (fail-slow laggard)
 
+// Snapshots as rank runs, ordered by kind (trainers, dataloaders, checkpoint
+// writers) and then by rank. Each is a few runs per process kind whatever
+// the world size.
+
 // Trainer-process stacks for a hang seeded at `culprit` with the given site.
-// One ProcessStack per rank in the topology.
-std::vector<ProcessStack> SynthesizeHangStacks(const Topology& topology, Rank culprit,
-                                               HangSite site);
+std::vector<StackRun> SynthesizeHangRuns(const Topology& topology, Rank culprit, HangSite site);
 
 // Trainer + subprocess stacks (3 per rank), used when the root cause may sit
 // in a subprocess.
-std::vector<ProcessStack> SynthesizeFullPodStacks(const Topology& topology, Rank culprit,
-                                                  HangSite site);
+std::vector<StackRun> SynthesizeFullPodRuns(const Topology& topology, Rank culprit,
+                                            HangSite site);
 
 // Fail-slow snapshot: the ranks on `slow_machine` appear mid-compute while
 // the rest wait at the synchronization barrier. `round_seed` adds one noisy
 // false outlier every few rounds, modelling sampling jitter; the analyzer's
 // multi-round voting (Sec. 5.1) must see through it.
+std::vector<StackRun> SynthesizeFailSlowRuns(const Topology& topology, MachineId slow_machine,
+                                             std::uint64_t round_seed);
+
+// The same snapshots with one ProcessStack per process: trainers in rank
+// order, then each rank's dataloader and checkpoint writer side by side.
+std::vector<ProcessStack> SynthesizeHangStacks(const Topology& topology, Rank culprit,
+                                               HangSite site);
+std::vector<ProcessStack> SynthesizeFullPodStacks(const Topology& topology, Rank culprit,
+                                                  HangSite site);
 std::vector<ProcessStack> SynthesizeFailSlowStacks(const Topology& topology,
                                                    MachineId slow_machine,
                                                    std::uint64_t round_seed);
-
-// The sampling-jitter machine a fail-slow round with this seed would also
-// catch mid-compute, or -1 for a clean round. Shared with the voting cache
-// (src/analyzer/aggregation.h) so a round's snapshot is fully determined by
-// (slow_machine, noise machine) and can be memoized.
-MachineId FailSlowNoiseMachine(std::uint64_t round_seed, int num_machines);
 
 }  // namespace byterobust
 

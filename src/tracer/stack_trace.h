@@ -4,6 +4,7 @@
 #ifndef SRC_TRACER_STACK_TRACE_H_
 #define SRC_TRACER_STACK_TRACE_H_
 
+#include <cstddef>
 #include <initializer_list>
 #include <memory>
 #include <string>
@@ -21,11 +22,10 @@ struct StackFrame {
   bool operator==(const StackFrame&) const = default;
 };
 
-// An immutable stack shared by value. A whole-pod trace holds one stack per
-// process (world_size x 3 of them), but almost all of those are copies of a
-// handful of canned patterns — sharing the frame storage makes synthesizing
-// and aggregating a 9,600-rank pod a refcount bump per process instead of a
-// string-allocation storm.
+// An immutable stack shared by value: copies share the frame storage. A
+// whole-pod snapshot names a handful of canned patterns (interned statics in
+// stack_synth.cc) once per rank run (StackRun below), so neither synthesis
+// nor aggregation touches one stack per process.
 class StackTrace {
  public:
   StackTrace() = default;
@@ -39,20 +39,13 @@ class StackTrace {
     return frames_ ? *frames_ : kEmpty;
   }
 
-  // Stable identity of the shared frame storage (null for empty traces).
-  // Copies of one canned stack share it, so aggregation can hash it instead
-  // of the frame strings. CAVEAT: aggregation groups by this identity —
-  // structurally equal traces built as *separate* objects land in separate
-  // groups (with equal keys). Every producer must intern its patterns (the
-  // stack_synth.cc builders do); operator== below still deep-compares, so
-  // direct equality checks are unaffected.
-  const void* identity() const { return frames_.get(); }
-
   // Canonical string form; aggregation groups stacks by exact key match
   // (paper Sec. 5.1 "aggregated into multiple groups via string matching").
   std::string Key() const;
   std::string ToString() const;
 
+  // Copies of one interned stack compare equal by storage identity without
+  // touching the frames; separately built stacks fall back to the frames.
   bool operator==(const StackTrace& other) const {
     return frames_ == other.frames_ || frames() == other.frames();
   }
@@ -69,14 +62,29 @@ enum class ProcessKind {
   kDataLoader,
   kCheckpointWriter,
 };
+inline constexpr std::size_t kNumProcessKinds = 3;
 
 const char* ProcessKindName(ProcessKind kind);
 
+// One process's stack: the per-rank form of a pod snapshot.
 struct ProcessStack {
   Rank rank = 0;
   MachineId machine = 0;
   ProcessKind kind = ProcessKind::kTrainer;
   StackTrace stack;
+};
+
+// The run-length form: the `kind` processes of ranks [first, first + count)
+// all show `*stack`. A 9,600-rank whole-pod snapshot is about a dozen runs
+// instead of 28,800 ProcessStacks. `stack` is non-owning. The synthesizers
+// point it at interned statics, which live for the whole program; the
+// analyzer's per-rank adapter points it into the caller's ProcessStacks,
+// which outlive the analysis.
+struct StackRun {
+  Rank first = 0;
+  int count = 0;
+  ProcessKind kind = ProcessKind::kTrainer;
+  const StackTrace* stack = nullptr;
 };
 
 }  // namespace byterobust

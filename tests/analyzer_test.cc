@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
+#include <algorithm>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "src/analyzer/aggregation.h"
 #include "src/tracer/stack_synth.h"
+#include "src/training/job_config.h"
 
 namespace byterobust {
 namespace {
@@ -33,7 +38,8 @@ TEST(AggregationTest, Fig7HangIsolatesThePipelineGroup) {
   EXPECT_EQ(result.machines_to_evict, (std::vector<MachineId>{12, 13, 14, 15}));
   // The dominant group is the 24 healthy reduce-scatter ranks.
   EXPECT_TRUE(result.groups.front().healthy);
-  EXPECT_EQ(result.groups.front().ranks.size(), 24u);
+  EXPECT_EQ(result.groups.front().rank_count, 24);
+  EXPECT_EQ(result.groups.front().machine_runs, (std::vector<IdRun>{{0, 12}}));
 }
 
 TEST(AggregationTest, SubprocessOutliersAreDetected) {
@@ -70,9 +76,12 @@ TEST(AggregationTest, AllHealthyYieldsNothing) {
 TEST(AggregationTest, EmptyInputIsSafe) {
   const Topology topo = Fig7Topology();
   AggregationAnalyzer analyzer;
-  const AggregationResult result = analyzer.Analyze({}, topo);
-  EXPECT_TRUE(result.groups.empty());
-  EXPECT_TRUE(result.machines_to_evict.empty());
+  for (const AggregationResult& result :
+       {analyzer.Analyze(std::vector<ProcessStack>{}, topo),
+        analyzer.Analyze(std::vector<StackRun>{}, topo)}) {
+    EXPECT_TRUE(result.groups.empty());
+    EXPECT_TRUE(result.machines_to_evict.empty());
+  }
 }
 
 TEST(AggregationTest, DominantFractionControlsHealthyCutoff) {
@@ -151,55 +160,107 @@ TEST(AggregationTest, DeterministicGroupOrdering) {
   }
 }
 
-// The memoized fail-slow rounds must be observably identical to a fresh
-// synthesis + aggregation for every (slow machine, round seed) combination,
-// including rounds with sampling jitter and repeated cache hits.
-TEST(FailSlowVoteCacheTest, MatchesReferenceSynthesisAcrossRoundsAndSlowMachines) {
+TEST(AggregationTest, EqualStacksBuiltSeparatelyShareAGroup) {
   const Topology topo = Fig7Topology();
-  AggregationAnalyzer analyzer;
-  FailSlowVoteCache cache;
-  for (MachineId slow : {0, 7, 15}) {
-    for (std::uint64_t seed = 0; seed < 24; ++seed) {
-      const auto reference =
-          analyzer.Analyze(SynthesizeFailSlowStacks(topo, slow, seed), topo);
-      const AggregationResult& cached = cache.Round(analyzer, topo, slow, seed);
-      ASSERT_EQ(cached.groups.size(), reference.groups.size()) << slow << "/" << seed;
-      for (std::size_t g = 0; g < cached.groups.size(); ++g) {
-        EXPECT_EQ(cached.groups[g].key, reference.groups[g].key);
-        EXPECT_EQ(cached.groups[g].ranks, reference.groups[g].ranks);
-        EXPECT_EQ(cached.groups[g].machines, reference.groups[g].machines);
-        EXPECT_EQ(cached.groups[g].healthy, reference.groups[g].healthy);
-      }
-      EXPECT_EQ(cached.outlier_machines, reference.outlier_machines);
-      EXPECT_EQ(cached.found_group, reference.found_group);
-      EXPECT_EQ(cached.machines_to_evict, reference.machines_to_evict);
-      if (cached.found_group) {
-        EXPECT_EQ(cached.isolated_group.kind, reference.isolated_group.kind);
-        EXPECT_EQ(cached.isolated_group.index, reference.isolated_group.index);
+  const StackTrace copy(HealthyGradSyncStack().frames());  // equal frames, own storage
+  std::vector<ProcessStack> stacks = SynthesizeHangStacks(topo, 30, HangSite::kTensorCollective);
+  for (ProcessStack& ps : stacks) {
+    if (ps.rank % 2 == 0 && ps.stack == HealthyGradSyncStack()) {
+      ps.stack = copy;
+    }
+  }
+  const AggregationResult result = AggregationAnalyzer().Analyze(stacks, topo);
+  EXPECT_EQ(result.groups.front().rank_count, 24);
+  EXPECT_EQ(result.groups.size(), 4u);
+}
+
+TEST(AggregationTest, RejectsStackOnTheWrongMachine) {
+  const Topology topo = Fig7Topology();
+  std::vector<ProcessStack> stacks = SynthesizeHangStacks(topo, 30, HangSite::kTensorCollective);
+  stacks[5].machine = 0;  // rank 5 lives on machine 2
+  EXPECT_THROW(AggregationAnalyzer().Analyze(stacks, topo), std::invalid_argument);
+}
+
+// The run path and the per-rank adapter (expanded stacks packed back into
+// runs) must agree on every field of the result.
+void ExpectSameResult(const AggregationResult& runs, const AggregationResult& ranks,
+                      const std::string& where) {
+  SCOPED_TRACE(where);
+  ASSERT_EQ(runs.groups.size(), ranks.groups.size());
+  for (std::size_t g = 0; g < runs.groups.size(); ++g) {
+    EXPECT_EQ(runs.groups[g].key, ranks.groups[g].key);
+    EXPECT_EQ(runs.groups[g].representative, ranks.groups[g].representative);
+    EXPECT_EQ(runs.groups[g].rank_count, ranks.groups[g].rank_count);
+    EXPECT_EQ(runs.groups[g].rank_runs, ranks.groups[g].rank_runs);
+    EXPECT_EQ(runs.groups[g].machine_runs, ranks.groups[g].machine_runs);
+    EXPECT_EQ(runs.groups[g].healthy, ranks.groups[g].healthy);
+  }
+  EXPECT_EQ(runs.outlier_machines, ranks.outlier_machines);
+  EXPECT_EQ(runs.found_group, ranks.found_group);
+  EXPECT_EQ(runs.machines_to_evict, ranks.machines_to_evict);
+  if (runs.found_group && ranks.found_group) {
+    EXPECT_EQ(runs.isolated_group.kind, ranks.isolated_group.kind);
+    EXPECT_EQ(runs.isolated_group.index, ranks.isolated_group.index);
+    EXPECT_EQ(runs.isolated_group.ranks, ranks.isolated_group.ranks);
+  }
+}
+
+ParallelismConfig Parallelism(int tp, int pp, int dp, int gpus_per_machine) {
+  ParallelismConfig cfg;
+  cfg.tp = tp;
+  cfg.pp = pp;
+  cfg.dp = dp;
+  cfg.gpus_per_machine = gpus_per_machine;
+  return cfg;
+}
+
+// Fig. 7, the two 9,600-GPU production jobs, and TP=2 on 8-GPU machines,
+// where one machine holds several TP groups and runs cross machine edges.
+std::vector<ParallelismConfig> EquivalenceTopologies() {
+  return {Parallelism(2, 4, 4, 2), ProductionDenseJob().parallelism,
+          ProductionMoeJob().parallelism, Parallelism(2, 4, 4, 8)};
+}
+
+TEST(RunAggregationEquivalenceTest, HangSnapshotsMatchThePerRankAdapter) {
+  const AggregationAnalyzer analyzer;
+  for (const ParallelismConfig& cfg : EquivalenceTopologies()) {
+    const Topology topo(cfg);
+    const Rank tp_edge = topo.RankOf({cfg.tp - 1, cfg.pp - 1, cfg.dp / 2});
+    for (Rank culprit : {0, 1, tp_edge, topo.world_size() / 2, topo.world_size() - 1}) {
+      for (HangSite site : {HangSite::kTensorCollective, HangSite::kPipelineP2p,
+                            HangSite::kDataLoader, HangSite::kCheckpointWriter}) {
+        const std::string where = cfg.ToString() + " culprit " + std::to_string(culprit) +
+                                  " site " + std::to_string(static_cast<int>(site));
+        ExpectSameResult(analyzer.Analyze(SynthesizeHangRuns(topo, culprit, site), topo),
+                         analyzer.Analyze(SynthesizeHangStacks(topo, culprit, site), topo),
+                         "hang " + where);
+        const AggregationResult pod =
+            analyzer.Analyze(SynthesizeFullPodRuns(topo, culprit, site), topo);
+        ExpectSameResult(pod, analyzer.Analyze(SynthesizeFullPodStacks(topo, culprit, site), topo),
+                         "full pod " + where);
+        // Every hang is localized to a group holding the culprit's machine.
+        const MachineId culprit_machine = topo.MachineOfRank(culprit);
+        EXPECT_NE(std::find(pod.machines_to_evict.begin(), pod.machines_to_evict.end(),
+                            culprit_machine),
+                  pod.machines_to_evict.end())
+            << where;
       }
     }
   }
 }
 
-TEST(FailSlowVoteCacheTest, NoiseMachineMatchesSynthesizedJitter) {
-  const Topology topo = Fig7Topology();
-  // FailSlowNoiseMachine must predict exactly which machine the synthesized
-  // round flags beyond the slow one.
-  for (std::uint64_t seed = 0; seed < 32; ++seed) {
-    const MachineId noisy = FailSlowNoiseMachine(seed, topo.num_machines());
-    const MachineId slow = 3;
-    const auto stacks = SynthesizeFailSlowStacks(topo, slow, seed);
-    std::set<MachineId> laggards;
-    for (const ProcessStack& ps : stacks) {
-      if (ps.stack == ComputeKernelStack()) {
-        laggards.insert(ps.machine);
+TEST(RunAggregationEquivalenceTest, FailSlowRoundsMatchThePerRankAdapter) {
+  const AggregationAnalyzer analyzer;
+  for (const ParallelismConfig& cfg : {Parallelism(2, 4, 4, 2), ProductionDenseJob().parallelism}) {
+    const Topology topo(cfg);
+    for (MachineId slow : {0, topo.num_machines() / 2, topo.num_machines() - 1}) {
+      for (std::uint64_t seed = 0; seed < 24; ++seed) {
+        ExpectSameResult(analyzer.Analyze(SynthesizeFailSlowRuns(topo, slow, seed), topo),
+                         analyzer.Analyze(SynthesizeFailSlowStacks(topo, slow, seed), topo),
+                         cfg.ToString() + " slow " + std::to_string(slow) + " seed " +
+                             std::to_string(seed));
       }
     }
-    std::set<MachineId> expected{slow};
-    if (noisy >= 0 && noisy != slow) {
-      expected.insert(noisy);
-    }
-    EXPECT_EQ(laggards, expected) << "seed " << seed;
   }
 }
 

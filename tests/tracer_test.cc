@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "src/tracer/process_tree.h"
 #include "src/tracer/stack_synth.h"
+#include "src/training/job_config.h"
 
 namespace byterobust {
 namespace {
@@ -166,6 +169,122 @@ TEST(StackSynthTest, FailSlowNoiseIsDeterministicPerSeed) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].stack, b[i].stack);
+  }
+}
+
+// The Fig. 7 propagation rule stated per rank, from coordinates: the oracle
+// for the run-length synthesis. Null stands for the culprit's wait on its
+// own checkpoint flush (checkpoint-writer site).
+const StackTrace* ExpectedTrainerStack(const Topology& topo, Rank rank, Rank culprit,
+                                       HangSite site) {
+  const RankCoord rc = topo.CoordOf(rank);
+  const RankCoord cc = topo.CoordOf(culprit);
+  if (rank == culprit && site == HangSite::kPipelineP2p) {
+    return &PipelineIrecvStack();
+  }
+  if (rank == culprit && site == HangSite::kDataLoader) {
+    return &DataLoaderWaitStack();
+  }
+  if (rank == culprit && site == HangSite::kCheckpointWriter) {
+    return nullptr;
+  }
+  if (rc.pp == cc.pp && rc.dp == cc.dp) {
+    return &TensorCollectiveStack();
+  }
+  if (rc.dp == cc.dp && rc.pp < cc.pp) {
+    return rc.pp == cc.pp - 1 ? &PipelineIsendStack() : &PipelineIrecvStack();
+  }
+  return &HealthyGradSyncStack();
+}
+
+TEST(StackRunTest, HangRunsFollowThePerRankRule) {
+  ParallelismConfig tp2_gpm8;
+  tp2_gpm8.tp = 2;
+  tp2_gpm8.pp = 4;
+  tp2_gpm8.dp = 4;
+  tp2_gpm8.gpus_per_machine = 8;
+  ParallelismConfig tp4_pp3;
+  tp4_pp3.tp = 4;
+  tp4_pp3.pp = 3;
+  tp4_pp3.dp = 2;
+  tp4_pp3.gpus_per_machine = 4;
+  for (const Topology& topo : {Fig7Topology(), Topology(tp2_gpm8), Topology(tp4_pp3)}) {
+    for (Rank culprit = 0; culprit < topo.world_size(); ++culprit) {
+      for (HangSite site : {HangSite::kTensorCollective, HangSite::kPipelineP2p,
+                            HangSite::kDataLoader, HangSite::kCheckpointWriter}) {
+        const auto stacks = SynthesizeFullPodStacks(topo, culprit, site);
+        ASSERT_EQ(stacks.size(), 3u * static_cast<std::size_t>(topo.world_size()));
+        for (Rank r = 0; r < topo.world_size(); ++r) {
+          const std::size_t i = static_cast<std::size_t>(r);
+          const std::size_t world = static_cast<std::size_t>(topo.world_size());
+          const ProcessStack& trainer = stacks[i];
+          const ProcessStack& loader = stacks[world + 2 * i];
+          const ProcessStack& writer = stacks[world + 2 * i + 1];
+          const std::string where = topo.config().ToString() + " culprit " +
+                                    std::to_string(culprit) + " rank " + std::to_string(r);
+          for (const ProcessStack* ps : {&trainer, &loader, &writer}) {
+            EXPECT_EQ(ps->rank, r) << where;
+            EXPECT_EQ(ps->machine, topo.MachineOfRank(r)) << where;
+          }
+          ASSERT_EQ(trainer.kind, ProcessKind::kTrainer) << where;
+          ASSERT_EQ(loader.kind, ProcessKind::kDataLoader) << where;
+          ASSERT_EQ(writer.kind, ProcessKind::kCheckpointWriter) << where;
+          const StackTrace* expected = ExpectedTrainerStack(topo, r, culprit, site);
+          if (expected == nullptr) {
+            EXPECT_NE(trainer.stack.Key().find("wait_ckpt_flush"), std::string::npos) << where;
+          } else {
+            EXPECT_EQ(trainer.stack, *expected) << where;
+          }
+          const bool culprit_loader = r == culprit && site == HangSite::kDataLoader;
+          const bool culprit_writer = r == culprit && site == HangSite::kCheckpointWriter;
+          EXPECT_EQ(loader.stack, culprit_loader ? DataLoaderStuckStack() : DataLoaderIdleStack())
+              << where;
+          EXPECT_EQ(writer.stack, culprit_writer ? CkptWriterStuckStack() : CkptWriterIdleStack())
+              << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(StackRunTest, FailSlowRunsMarkWholeLaggardMachines) {
+  const Topology topo = Fig7Topology();
+  for (MachineId slow : {0, 7, 15}) {
+    for (std::uint64_t seed = 0; seed < 24; ++seed) {
+      int compute_machines = 0;
+      Rank next = 0;
+      for (const StackRun& run : SynthesizeFailSlowRuns(topo, slow, seed)) {
+        EXPECT_EQ(run.first, next);  // rank order, no gaps
+        next = run.first + run.count;
+        EXPECT_EQ(run.kind, ProcessKind::kTrainer);
+        if (*run.stack == ComputeKernelStack()) {
+          EXPECT_EQ(run.first % 2, 0);
+          EXPECT_EQ(run.count % 2, 0);
+          compute_machines += run.count / 2;
+        } else {
+          EXPECT_EQ(*run.stack, HealthyGradSyncStack());
+        }
+      }
+      EXPECT_EQ(next, topo.world_size());
+      EXPECT_GE(compute_machines, 1);
+      EXPECT_LE(compute_machines, 2);
+    }
+  }
+}
+
+TEST(StackRunTest, PodSnapshotIsAFewRunsAtAnyScale) {
+  const Topology topo(ProductionDenseJob().parallelism);
+  for (Rank culprit : {0, topo.world_size() / 2, topo.world_size() - 1}) {
+    const auto runs = SynthesizeFullPodRuns(topo, culprit, HangSite::kDataLoader);
+    // Trainers: healthy, irecv, isend, TP peers, culprit, TP peers, healthy;
+    // each subprocess kind: idle, stuck-or-idle, idle.
+    EXPECT_LE(runs.size(), 13u);
+    int processes = 0;
+    for (const StackRun& run : runs) {
+      EXPECT_GT(run.count, 0);
+      processes += run.count;
+    }
+    EXPECT_EQ(processes, 3 * topo.world_size());
   }
 }
 

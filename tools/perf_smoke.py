@@ -29,6 +29,14 @@ it just like a speed regression. Gates must be ordered by ascending
 max_rss_mb: ru_maxrss is a monotone high-water across children, so a larger
 earlier peak would mask a later gate's measurement.
 
+--cli also enforces the baseline's "cpu_scaling_gates": each runs one
+command at two --jobs values and compares the user+sys CPU the child
+burned. Work shared between threads (a contended cache line, a lock) shows
+up as extra CPU at the higher --jobs value, so the ratio must stay under
+max_ratio. Each side is measured CPU_GATE_REPEATS times, alternating, and
+its cheapest run counts. A gate skips on a host with fewer CPUs than its
+largest --jobs value, where threads would only time-slice.
+
 Stdlib-only, like every Python tool in CI — tools/ci_python_requirements.txt
 is the shared (deliberately package-free) requirements file CI installs for
 this script, the determinism lint, and the clang-tidy runner.
@@ -36,11 +44,15 @@ this script, the determinism lint, and the clang-tidy runner.
 
 import argparse
 import json
+import os
 import resource
 import subprocess
 import sys
 
 _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+# Host noise only ever adds CPU, so the cheapest of a few runs is the
+# steadiest reading of each side of a CPU-scaling gate.
+CPU_GATE_REPEATS = 3
 
 
 def load_report(path):
@@ -83,6 +95,40 @@ def check_rss_gate(cli, gate):
     return peak_mb <= limit_mb
 
 
+def child_cpu_seconds(cmd):
+    """Runs cmd; returns (exit code, user+sys CPU seconds it burned)."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(cmd, stdout=subprocess.DEVNULL)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    return proc.returncode, cpu
+
+
+def check_cpu_scaling_gate(cli, gate):
+    """Compares the CPU a command burns at two --jobs values."""
+    base_jobs, wide_jobs = gate["jobs"]
+    label = f"cpu scaling gate ({' '.join(gate['args'])}, --jobs {wide_jobs} vs {base_jobs})"
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if nproc < wide_jobs:
+        print(f"{label}: skipped, {nproc} CPUs < {wide_jobs}")
+        return True
+    cheapest = {}
+    for _ in range(CPU_GATE_REPEATS):
+        for jobs in (base_jobs, wide_jobs):
+            cmd = [cli] + gate["args"] + ["--jobs", str(jobs)]
+            code, cpu = child_cpu_seconds(cmd)
+            if code != 0:
+                print(f"{label}: {' '.join(cmd)} exited {code}", file=sys.stderr)
+                return False
+            cheapest[jobs] = min(cheapest.get(jobs, cpu), cpu)
+    ratio = cheapest[wide_jobs] / cheapest[base_jobs]
+    limit = gate["max_ratio"]
+    verdict = "OK" if ratio <= limit else "REGRESSION"
+    print(f"{label}: {cheapest[base_jobs]:.2f} s -> {cheapest[wide_jobs]:.2f} s CPU, "
+          f"ratio {ratio:.2f}x (limit {limit:.2f}x) [{verdict}]")
+    return ratio <= limit
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("current")
@@ -91,7 +137,8 @@ def main():
     parser.add_argument("--max-ratio", type=float, default=2.0)
     parser.add_argument("--tight", action="append", default=[], metavar="NAME=RATIO",
                         help="per-benchmark ratio tighter than --max-ratio (repeatable)")
-    parser.add_argument("--cli", help="byterobust binary; enables the baseline's rss_gate")
+    parser.add_argument("--cli", help="byterobust binary; enables the baseline's RSS and "
+                        "CPU-scaling gates")
     args = parser.parse_intermixed_args()
 
     tight = {}
@@ -131,17 +178,25 @@ def main():
     # Ascending budgets regardless of baseline order: a larger earlier peak
     # would mask every smaller gate behind it (ru_maxrss is a high-water).
     rss_gates.sort(key=lambda gate: gate["max_rss_mb"])
+    cpu_gates = baseline_data.get("cpu_scaling_gates") or []
     if args.cli:
         for i, gate in enumerate(rss_gates):
             if not check_rss_gate(args.cli, gate):
                 failures.append(f"rss_gate[{i}]")
+        # After the RSS gates: a --jobs N run would raise the children's
+        # RSS high-water mark above their budgets.
+        for i, gate in enumerate(cpu_gates):
+            if not check_cpu_scaling_gate(args.cli, gate):
+                failures.append(f"cpu_scaling_gate[{i}]")
 
     if failures:
         print(f"perf smoke FAILED: {', '.join(failures)} regressed more than "
               f"the gated budget", file=sys.stderr)
         return 1
     print(f"perf smoke passed ({len(names)} benchmarks within {args.max_ratio:.1f}x"
-          + (f", {len(rss_gates)} rss gate(s) ok" if args.cli and rss_gates else "") + ")")
+          + (f", {len(rss_gates)} rss gate(s) ok" if args.cli and rss_gates else "")
+          + (f", {len(cpu_gates)} cpu scaling gate(s) ok" if args.cli and cpu_gates else "")
+          + ")")
     return 0
 
 
