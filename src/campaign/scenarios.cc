@@ -92,19 +92,16 @@ bool StepBatchingEnabled() {
   return env == nullptr || std::string(env) != "0";
 }
 
-// Trailing retention window for per-run ETTR-span / MFU-sample compaction.
-// BYTEROBUST_METRIC_WINDOW gives seconds (0 = unbounded); the default keeps
+// Trailing retention window for per-run ETTR-span / MFU-sample compaction:
 // two hours, comfortably above the 1 h sliding-ETTR window, so campaign
 // metrics are bit-identical windowed or not while month-scale runs hold
-// O(window) metric state instead of O(steps).
+// O(window) metric state instead of O(steps). Escape hatch for the streaming
+// equivalence ctest: BYTEROBUST_METRIC_WINDOW=0 pins the unbounded reference
+// tracker; any other value keeps the window.
 SimDuration MetricsRetentionFromEnv() {
   static const SimDuration retention = [] {
     const char* env = std::getenv("BYTEROBUST_METRIC_WINDOW");
-    if (env == nullptr) {
-      return Hours(2);
-    }
-    const double seconds = std::strtod(env, nullptr);
-    return seconds <= 0.0 ? SimDuration{0} : Seconds(seconds);
+    return env != nullptr && std::string(env) == "0" ? SimDuration{0} : Hours(2);
   }();
   return retention;
 }
@@ -372,8 +369,8 @@ void WriteLatency(JsonWriter* w, const std::string& key, const LatencyStats& s) 
 }
 
 // Per-domain-level blast-radius block, shared by campaign runs and the fleet
-// seed element. Only emitted when at least one domain fault fired, so flat
-// (or BYTEROBUST_FAULT_DOMAINS=0) campaigns keep their PR 6 byte layout.
+// seed element. Only emitted when at least one domain fault fired, so
+// campaigns without a domain stream keep their pre-domain byte layout.
 void WriteDomainBlast(JsonWriter* w, const std::string& key, const DomainBlastStats& stats) {
   w->Key(key);
   w->BeginObject();

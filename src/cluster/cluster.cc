@@ -173,9 +173,6 @@ MachineId Cluster::AddMachine() {
 }
 
 void Cluster::AttachFaultDomains(const FaultDomainConfig& config) {
-  if (!config.enabled) {
-    return;
-  }
   core_->domains =
       std::make_unique<FaultDomains>(config, static_cast<int>(core_->machines.size()));
   core_->domains->BindHealthEpoch(&core_->health_epoch);

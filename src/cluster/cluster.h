@@ -156,13 +156,13 @@ class Cluster {
 
   // Builds the NIC -> ToR -> spine -> pod domain graph over the core's
   // current machine set and assigns every machine its domain path. Call once
-  // on the root/pool cluster before carving views; a no-op when
-  // `config.enabled` is false. Attaching is epoch-neutral (a healthy graph
-  // changes nothing observable), so flat campaigns stay byte-identical.
+  // on the root/pool cluster before carving views. Attaching is epoch-neutral:
+  // a healthy graph changes nothing observable.
   void AttachFaultDomains(const FaultDomainConfig& config);
 
-  // The shared graph, or nullptr on flat-topology clusters. Shared by every
-  // view of the core, like the blacklist.
+  // The shared graph, or nullptr on a bare cluster that was never given one
+  // (unit tests and benches). Shared by every view of the core, like the
+  // blacklist.
   FaultDomains* fault_domains() { return core_->domains.get(); }
   const FaultDomains* fault_domains() const { return core_->domains.get(); }
 
@@ -185,7 +185,7 @@ class Cluster {
     HealthEpoch health_epoch;
     // Root + views sharing this core, in registration order (root first).
     std::vector<Cluster*> members;
-    // Hierarchical fault-domain graph (nullptr = flat legacy topology).
+    // Hierarchical fault-domain graph (nullptr until AttachFaultDomains).
     std::unique_ptr<FaultDomains> domains;
 
     ~Core();  // defined in cluster.cc, where FaultDomains is complete

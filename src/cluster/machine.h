@@ -120,7 +120,7 @@ class Machine {
   void BindHealthEpoch(HealthEpoch* epoch) { health_epoch_hook_ = epoch; }
 
   // Fault-domain path, innermost (host NIC) to outermost (pod power domain).
-  // Assigned by Cluster::AttachFaultDomains; empty on flat-topology clusters.
+  // Assigned by Cluster::AttachFaultDomains; empty on a cluster without a graph.
   // Placement is static wiring, not a health attribute, so setting it neither
   // dirties health nor bumps the epoch.
   const std::vector<DomainId>& domain_path() const { return domain_path_; }

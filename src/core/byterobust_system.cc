@@ -17,9 +17,7 @@ ByteRobustSystem::ByteRobustSystem(const SystemConfig& config) : config_(config)
   cluster_ = std::make_unique<Cluster>(config.job.parallelism.num_machines(),
                                        config.job.parallelism.gpus_per_machine,
                                        config.spare_machines);
-  if (config.fault_domains.enabled && FaultDomainsEnvEnabled()) {
-    cluster_->AttachFaultDomains(config.fault_domains);
-  }
+  cluster_->AttachFaultDomains(config.fault_domains);
   standby_pool_ = std::make_unique<WarmStandbyPool>(config.standby, sim_, cluster_.get());
   spares_ = standby_pool_.get();
   WireComponents(/*ettr_origin=*/0);

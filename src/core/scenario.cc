@@ -34,7 +34,7 @@ void Scenario::Begin() {
   if (config_.planned_updates > 0) {
     ScheduleNextUpdate(0);
   }
-  if (config_.domain_faults.mean_gap > 0 && sys_->cluster().fault_domains() != nullptr) {
+  if (config_.domain_faults.mean_gap > 0) {
     ScheduleNextDomainFault();
   }
 }

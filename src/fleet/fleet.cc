@@ -22,9 +22,7 @@ Fleet::Fleet(const FleetConfig& config)
     demand += spec.scenario.system.job.parallelism.num_machines();
   }
   pool_ = std::make_unique<Cluster>(kFleetPool, demand + config_.shared_spares, gpus);
-  if (config_.fault_domains.enabled && FaultDomainsEnvEnabled()) {
-    pool_->AttachFaultDomains(config_.fault_domains);
-  }
+  pool_->AttachFaultDomains(config_.fault_domains);
   arbiter_ = std::make_unique<SpareArbiter>(config_.arbiter, &sim_, pool_.get());
 
   // Register every job first (the arbiter needs the full priority table),
@@ -77,25 +75,14 @@ void Fleet::ScheduleNextStorm() {
 }
 
 void Fleet::InjectStorm() {
-  // Storm band: a ToR domain of the fault-domain graph when one is attached,
-  // else the legacy flat band math. Graph ToR bands are constructed with the
-  // same contiguous division, so with machines_per_tor == machines_per_switch
-  // both paths draw from the same band count and land on identical bands —
-  // the cli_fault_domain_equivalence gate and the fleet_test.cc band-layout
-  // assertion pin that migration.
-  // Band width comes from the graph's ToR span when one is attached, else
-  // from the legacy storm knob. Band count and ranges are always computed
-  // over the *current* pool size with the same contiguous division the graph
-  // uses: the pool grows as standbys provision, and machines past the graph's
-  // construction-time range fall into overflow bands exactly like the legacy
-  // math placed them (the graph clamps those machines into its outermost
-  // domains only for path/congestion purposes).
-  const FaultDomains* domains = pool_->fault_domains();
+  // Storm band: one ToR band of the fault-domain graph. Band count and ranges
+  // are computed over the *current* pool size with the graph's contiguous
+  // division: the pool grows as standbys provision, and machines past the
+  // graph's construction-time range fall into overflow bands of the same
+  // width (the graph clamps those machines into its outermost domains only
+  // for path/congestion purposes).
   const int total = static_cast<int>(pool_->total_machines());
-  const int per = std::max(
-      domains != nullptr ? domains->config().machines_per_tor
-                         : config_.storm.machines_per_switch,
-      1);
+  const int per = pool_->fault_domains()->config().machines_per_tor;
   const int num_bands = (total + per - 1) / per;
   const int s = static_cast<int>(storm_rng_.UniformInt(0, num_bands - 1));
   const MachineId lo = s * per;
@@ -107,8 +94,8 @@ void Fleet::InjectStorm() {
   // job, idle spares, provisioning standbys alike. (Spares re-validate and
   // reset health when provisioned/installed, so a healed or replaced band
   // returns to service clean.) Deliberately per-machine flags only, no domain
-  // state change: storms must stay byte-identical across the legacy and
-  // graph-driven paths, and a domain-state bump exists only on the latter.
+  // state change: a degraded ToR domain would add a congestion term to every
+  // job crossing it, which the storm model does not carry.
   int machines_hit = 0;
   for (MachineId id = lo; id < hi; ++id) {
     Machine& m = pool_->machine(id);
@@ -154,10 +141,8 @@ void Fleet::InjectStorm() {
   // conditioned on radius >= 1.
   ++storms_injected_;
   ++blast_radius_counts_[jobs_hit];
-  if (domains != nullptr) {
-    domain_blast_.RecordInjection(DomainLevel::kTor, DomainFaultKind::kSwitchStorm,
-                                  machines_hit, jobs_hit, transient, sim_.Now());
-  }
+  domain_blast_.RecordInjection(DomainLevel::kTor, DomainFaultKind::kSwitchStorm,
+                                machines_hit, jobs_hit, transient, sim_.Now());
   BR_LOG_INFO("fleet", "switch storm #%llu on machines [%d, %d) hit %d job(s)%s",
               static_cast<unsigned long long>(storm_id), lo, hi, jobs_hit,
               transient ? " (transient)" : "");

@@ -44,11 +44,6 @@ struct FleetJobSpec {
 // ToR switch-storm generator configuration (0 mean gap disables it).
 struct SwitchStormConfig {
   SimDuration mean_gap = 0;
-  // Machines per ToR switch on the *legacy* flat-band path (no fault-domain
-  // graph attached). With a graph, storm bands are the graph's ToR domains
-  // instead — presets keep `fault_domains.machines_per_tor` equal to this so
-  // both paths generate identical bands.
-  int machines_per_switch = 4;
   // Fraction of storms that self-heal (before the controller's network
   // debounce elapses) vs persistent switch faults requiring eviction.
   double transient_fraction = 0.5;
@@ -61,7 +56,7 @@ struct FleetConfig {
   SpareArbiterConfig arbiter;
   SwitchStormConfig storm;
   // Hierarchical fault-domain graph attached to the shared pool (and thereby
-  // every job view). Storm bands then come from the graph's ToR domains.
+  // every job view). Storm bands are the graph's ToR domains.
   FaultDomainConfig fault_domains;
   SimDuration duration = Days(1);
   // Seeds the fleet-level generators (storm placement); per-job seeds live in
@@ -101,8 +96,8 @@ class Fleet {
   int storms_injected() const { return storms_injected_; }
   // Per-storm blast radius (number of jobs hit) -> storm count.
   const std::map<int, int>& blast_radius_counts() const { return blast_radius_counts_; }
-  // Per-domain blast accounting for graph-driven storms (empty on the legacy
-  // flat-band path, keeping pre-domain fleet JSON byte-identical).
+  // Per-domain blast accounting: one ToR event per switch storm (empty when
+  // the fleet runs no storm stream).
   const DomainBlastStats& domain_blast() const { return domain_blast_; }
   // Storms that degraded machines of two or more jobs at once.
   int cross_job_storms() const;

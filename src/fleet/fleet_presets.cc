@@ -86,10 +86,7 @@ FleetConfig FleetSwitchStormConfig(double days, std::uint64_t seed) {
   cfg.jobs.push_back(MakeJob("rack-b", 2, 4, 4, /*priority=*/0, 0, seed, 1));
   cfg.shared_spares = 3;
   cfg.storm.mean_gap = Hours(1.5);
-  cfg.storm.machines_per_switch = 6;
   cfg.storm.transient_fraction = 0.5;
-  // Keep the graph's ToR bands congruent with the legacy band math above so
-  // storms land on identical machine ranges on both paths.
   cfg.fault_domains.machines_per_tor = 6;
   for (FleetJobSpec& spec : cfg.jobs) {
     // Storms dominate; keep the per-job background mix sparse, and let

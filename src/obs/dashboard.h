@@ -7,9 +7,10 @@
 // the one-hour sliding ETTR and the nearest retained MFU sample. The CLI
 // writes one deterministic JSON document after the engine finishes.
 //
-// Rides the existing retention machinery (BYTEROBUST_METRIC_WINDOW): with
-// the default two-hour retention the dashboard covers the trailing two
-// simulated hours per job; with retention 0 it covers the whole run.
+// Rides the existing retention machinery: with the campaign's two-hour
+// retention the dashboard covers the trailing two simulated hours per job;
+// with BYTEROBUST_METRIC_WINDOW=0 (unbounded retention) it covers the whole
+// run.
 //
 // Side channel contract: collection never touches campaign/fleet output
 // bytes (pinned by the cli_observability_equivalence gate). Entries are

@@ -1,9 +1,7 @@
 #include "src/topology/fault_domains.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
-#include <string>
 
 namespace byterobust {
 
@@ -33,14 +31,6 @@ const char* DomainStateName(DomainState state) {
   return "unknown";
 }
 
-bool FaultDomainsEnvEnabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("BYTEROBUST_FAULT_DOMAINS");
-    return env == nullptr || std::string(env) != "0";
-  }();
-  return enabled;
-}
-
 namespace {
 int DivUp(int a, int b) { return (a + b - 1) / b; }
 }  // namespace
@@ -65,8 +55,7 @@ FaultDomains::FaultDomains(const FaultDomainConfig& config, int num_machines)
   }
   domains_.reserve(static_cast<std::size_t>(level_offset_[kNumDomainLevels]));
 
-  // Machines covered per domain at each level (contiguous-id bands; the
-  // ToR band width equals the legacy fleet `machines_per_switch` math).
+  // Machines covered per domain at each level (contiguous-id bands).
   const int span_tor = config_.machines_per_tor;
   const int span_spine = span_tor * config_.tors_per_spine;
   const int span_pod = span_spine * config_.spines_per_pod;

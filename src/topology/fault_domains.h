@@ -8,8 +8,7 @@
 //
 // Machine ids are laid out rack-contiguously (the fleet allocator carves jobs
 // from the lowest idle ids), so every domain covers one contiguous machine-id
-// range and the ToR bands coincide with the legacy switch-storm band math
-// (`machines_per_switch` in src/fleet) that this graph replaces.
+// range; the fleet's switch storms strike these ToR bands.
 //
 // Domain health is tri-state (up / degraded / down) with a degradation factor
 // for fail-slow links; any state change bumps the owning cluster's
@@ -54,10 +53,6 @@ const char* DomainStateName(DomainState state);
 // Shape of the domain tree over a machine pool. Division is by contiguous
 // machine-id bands; ragged tails (a last rack with fewer machines) are fine.
 struct FaultDomainConfig {
-  // When false, no graph is attached anywhere: the cluster behaves exactly
-  // like the flat pre-domain model (legacy band math in the fleet storm
-  // generator, no congestion term in the perf model).
-  bool enabled = true;
   int machines_per_tor = 6;
   int tors_per_spine = 4;
   int spines_per_pod = 2;
@@ -78,11 +73,6 @@ struct Domain {
   double degradation_factor = 1.0;
   SimTime state_since = 0;
 };
-
-// Process-wide escape hatch: BYTEROBUST_FAULT_DOMAINS=0 pins the legacy flat
-// topology (no graph attached anywhere) so campaign JSON can be byte-compared
-// against the pre-domain binary by the cli_fault_domain_equivalence ctest.
-bool FaultDomainsEnvEnabled();
 
 class FaultDomains {
  public:

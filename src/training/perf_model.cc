@@ -38,8 +38,8 @@ SimDuration PerfModel::StepTime(double code_efficiency, const Cluster& cluster) 
     cached_mfu_ = config_.base_mfu * code_efficiency * cached_slowest_;
     if (cached_congestion_ < 1.0) {
       // A fail-slow link crossed by the job's collectives stretches every
-      // step (and MFU) by the congestion factor. Guarded so flat topologies
-      // keep the exact pre-domain arithmetic.
+      // step (and MFU) by the congestion factor. Guarded so uncongested jobs
+      // keep the exact arithmetic without the factor.
       cached_step_time_ = static_cast<SimDuration>(
           static_cast<double>(config_.base_step_time) / (eff * clock * cached_congestion_));
       cached_mfu_ *= cached_congestion_;

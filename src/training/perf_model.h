@@ -50,8 +50,9 @@ class PerfModel {
   mutable std::uint64_t clock_epoch_ = kNoEpoch;
   mutable double cached_slowest_ = 1.0;
   // Fault-domain congestion term (Cluster::CongestionFactor), refreshed on
-  // the same epoch cadence. 1.0 on flat topologies, where the step-time
-  // arithmetic must stay bit-identical to the pre-domain model.
+  // the same epoch cadence. 1.0 while no impaired domain crosses the job,
+  // where the step-time arithmetic must stay bit-identical to the
+  // uncongested model.
   mutable double cached_congestion_ = 1.0;
   // StepTime/Mfu additionally key on the code-efficiency input.
   mutable std::uint64_t perf_epoch_ = kNoEpoch;

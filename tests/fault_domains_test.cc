@@ -9,8 +9,11 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "src/campaign/json_writer.h"
+#include "src/campaign/scenarios.h"
 #include "src/core/byterobust_system.h"
 #include "src/core/scenario.h"
 #include "src/faults/domain_injector.h"
@@ -72,15 +75,15 @@ TEST(FaultDomainsTest, ParentChainWalksNicToPod) {
   EXPECT_EQ(pod.parent, -1);
 }
 
-TEST(FaultDomainsTest, TorBandsMatchLegacySwitchStormLayout) {
-  // The graph's ToR bands must coincide with the legacy fleet storm band math
-  // (machines_per_switch = 6 over 35 machines) that they replace.
+TEST(FaultDomainsTest, TorBandsAreContiguousMachineRanges) {
+  // ToR s covers machines [6s, 6s + 6) of 35, the last band ragged; fleet
+  // switch storms strike these bands.
   FaultDomainConfig cfg;
   cfg.machines_per_tor = 6;
   FaultDomains domains(cfg, 35);
-  const int legacy_num_switches = (35 + 6 - 1) / 6;
-  ASSERT_EQ(domains.CountAtLevel(DomainLevel::kTor), legacy_num_switches);
-  for (int s = 0; s < legacy_num_switches; ++s) {
+  const int num_tors = (35 + 6 - 1) / 6;
+  ASSERT_EQ(domains.CountAtLevel(DomainLevel::kTor), num_tors);
+  for (int s = 0; s < num_tors; ++s) {
     const Domain& tor = domains.DomainAt(DomainLevel::kTor, s);
     EXPECT_EQ(tor.machine_begin, s * 6);
     EXPECT_EQ(tor.machine_end, std::min((s + 1) * 6, 35));
@@ -166,15 +169,6 @@ TEST(FaultDomainsClusterTest, AttachAssignsPathsAndIsEpochNeutral) {
     ASSERT_EQ(path.size(), static_cast<std::size_t>(kNumDomainLevels));
     EXPECT_EQ(cluster.fault_domains()->domain(path[0]).machine_begin, m);
   }
-}
-
-TEST(FaultDomainsClusterTest, DisabledConfigAttachesNothing) {
-  Cluster cluster(8, 2);
-  FaultDomainConfig cfg = SmallTree();
-  cfg.enabled = false;
-  cluster.AttachFaultDomains(cfg);
-  EXPECT_EQ(cluster.fault_domains(), nullptr);
-  EXPECT_DOUBLE_EQ(cluster.CongestionFactor(), 1.0);
 }
 
 TEST(FaultDomainsClusterTest, DomainStateBumpsSharedEpochAndCongestion) {
@@ -443,21 +437,17 @@ TEST(DomainScenarioTest, StreamIsDeterministic) {
   EXPECT_GE(a.blast_events, 1);
 }
 
-TEST(DomainScenarioTest, DisabledStreamLeavesLegacyRunsUntouched) {
-  // The domain stream draws from its own RNG: a config with the graph
-  // attached but mean_gap = 0 must replay the legacy scenario exactly.
-  ScenarioConfig base = DomainScenario(DomainFaultKind::kSpineFlap, 24);
-  base.injector.reference_mtbf = Hours(1);  // real background mix
-  base.injector.reference_machines = 12;    // scaled to this cluster's size
-  base.domain_faults.mean_gap = 0;
-  const ScenarioDigest with_graph = RunDomainScenario(base);
-
-  ScenarioConfig flat = base;
-  flat.system.fault_domains.enabled = false;
-  const ScenarioDigest without_graph = RunDomainScenario(flat);
-  EXPECT_EQ(with_graph, without_graph);
-  EXPECT_GT(with_graph.incidents, 0);
-  EXPECT_EQ(with_graph.blast_events, 0);
+TEST(DomainScenarioTest, DisabledStreamRecordsNoBlastEvents) {
+  // With mean_gap = 0 the graph is attached but the domain stream never
+  // fires: the background mix still injects incidents, and no blast event is
+  // recorded.
+  ScenarioConfig cfg = DomainScenario(DomainFaultKind::kSpineFlap, 24);
+  cfg.injector.reference_mtbf = Hours(1);  // real background mix
+  cfg.injector.reference_machines = 12;    // scaled to this cluster's size
+  cfg.domain_faults.mean_gap = 0;
+  const ScenarioDigest d = RunDomainScenario(cfg);
+  EXPECT_GT(d.incidents, 0);
+  EXPECT_EQ(d.blast_events, 0);
 }
 
 TEST(DomainScenarioTest, BlastStatsRecordLevelAndHeals) {
@@ -473,6 +463,20 @@ TEST(DomainScenarioTest, BlastStatsRecordLevelAndHeals) {
   EXPECT_EQ(tor.transient_events, tor.events);
   EXPECT_GE(tor.healed_events, tor.events - 1);  // last may straddle the end
   EXPECT_EQ(scenario.system().controller().evictions_total(), 0);  // silent fault
+}
+
+TEST(DomainScenarioTest, EverySpineFlapRunCarriesBlastBlock) {
+  // Each run of a 2-day spine-flap campaign (the CLI's base seed 42 onward)
+  // renders a "fault_domains" block with at least one domain level.
+  const ScenarioSpec* spec = FindSpec("spine-flap");
+  ASSERT_NE(spec, nullptr);
+  for (std::uint64_t seed = 42; seed < 50; ++seed) {
+    const RunResult r = RunOne(*spec, /*days=*/2.0, seed);
+    EXPECT_FALSE(r.domain_blast.SummaryByLevel().empty()) << "seed " << seed;
+    JsonWriter w;
+    WriteRun(&w, r);
+    EXPECT_NE(w.Take().find("\"fault_domains\": {"), std::string::npos) << "seed " << seed;
+  }
 }
 
 }  // namespace

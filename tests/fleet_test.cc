@@ -334,42 +334,25 @@ TEST(FleetTest, StartTimesStaggerJobLaunches) {
 // Fault-domain graph integration.
 // ---------------------------------------------------------------------------
 
-TEST(FleetTest, TorBandsMatchLegacySwitchStormLayout) {
-  // The storm generator migrated from flat `machines_per_switch` band math to
-  // ToR domains of the fault-domain graph. The preset keeps machines_per_tor
-  // equal to machines_per_switch, so the graph must reproduce the legacy
-  // bands exactly: same count, same [lo, hi) per band.
+TEST(FleetTest, StormBandsAreContiguousTorRanges) {
+  // Switch storms strike ToR domains of the pool's graph: bands of
+  // machines_per_tor contiguous machine ids across the whole pool, with a
+  // ragged last band.
   FleetConfig cfg = FleetSwitchStormConfig(/*days=*/1.0, /*seed=*/7);
-  ASSERT_EQ(cfg.fault_domains.machines_per_tor, cfg.storm.machines_per_switch);
   Fleet fleet(cfg);
   const FaultDomains* domains = fleet.pool().fault_domains();
   ASSERT_NE(domains, nullptr);
 
   const int total = static_cast<int>(fleet.pool().total_machines());
-  const int per = cfg.storm.machines_per_switch;
-  const int legacy_bands = (total + per - 1) / per;
-  ASSERT_EQ(domains->CountAtLevel(DomainLevel::kTor), legacy_bands);
-  for (int s = 0; s < legacy_bands; ++s) {
+  const int per = cfg.fault_domains.machines_per_tor;
+  const int bands = (total + per - 1) / per;
+  ASSERT_EQ(domains->CountAtLevel(DomainLevel::kTor), bands);
+  for (int s = 0; s < bands; ++s) {
     const DomainId tor = domains->DomainIdAt(DomainLevel::kTor, s);
     EXPECT_EQ(domains->machine_begin(tor), s * per) << "band " << s;
-    EXPECT_EQ(std::min<MachineId>(domains->machine_end(tor), total),
-              std::min<MachineId>((s + 1) * per, total))
+    EXPECT_EQ(domains->machine_end(tor), std::min<MachineId>((s + 1) * per, total))
         << "band " << s;
   }
-}
-
-TEST(FleetTest, GraphAndLegacyStormPathsAreByteIdentical) {
-  // With machines_per_tor == machines_per_switch the graph-backed storm path
-  // must reproduce the legacy flat-band run bit for bit — switch storms flip
-  // per-machine health only (no domain state), so disabling the graph cannot
-  // change a single RNG draw or event.
-  FleetConfig graph_cfg = FleetSwitchStormConfig(/*days=*/1.0, /*seed=*/7);
-  FleetConfig legacy_cfg = graph_cfg;
-  legacy_cfg.fault_domains.enabled = false;
-  const FleetDigest graph = RunFleet(graph_cfg);
-  const FleetDigest legacy = RunFleet(legacy_cfg);
-  EXPECT_EQ(graph, legacy);
-  EXPECT_GE(graph.storms, 1);
 }
 
 }  // namespace
