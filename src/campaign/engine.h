@@ -48,7 +48,7 @@ struct CampaignEngineSpec {
   CampaignIdentity identity;   // what --journal records / --resume verifies
   std::string journal_path;    // --journal: record committed seeds here
   std::string resume_path;     // --resume: skip seeds already journaled here
-  int retries_override = -1;   // --retries; < 0 defers to env/default
+  int retries_override = -1;   // --retries; < 0 keeps the default (2)
   bool journal_sync = false;   // --journal-sync: fdatasync per committed record
   // Cooperative stop flag (the CLI's signal flag, or a serve request's cancel
   // flag): when it flips, workers stop claiming seeds, in-flight seeds drain,

@@ -1,7 +1,6 @@
 #include "src/campaign/scenarios.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -85,26 +84,13 @@ const FleetSpec* FindFleetSpec(const std::string& name) {
 
 namespace {
 
-// Escape hatch for the batched-stepping equivalence ctest: BYTEROBUST_STEP_BATCHING=0
-// pins the per-step reference path. Output must be byte-identical either way.
-bool StepBatchingEnabled() {
-  const char* env = std::getenv("BYTEROBUST_STEP_BATCHING");
-  return env == nullptr || std::string(env) != "0";
-}
-
 // Trailing retention window for per-run ETTR-span / MFU-sample compaction:
 // two hours, comfortably above the 1 h sliding-ETTR window, so campaign
-// metrics are bit-identical windowed or not while month-scale runs hold
-// O(window) metric state instead of O(steps). Escape hatch for the streaming
-// equivalence ctest: BYTEROBUST_METRIC_WINDOW=0 pins the unbounded reference
-// tracker; any other value keeps the window.
-SimDuration MetricsRetentionFromEnv() {
-  static const SimDuration retention = [] {
-    const char* env = std::getenv("BYTEROBUST_METRIC_WINDOW");
-    return env != nullptr && std::string(env) == "0" ? SimDuration{0} : Hours(2);
-  }();
-  return retention;
-}
+// metrics are bit-identical windowed or not (the unbounded tracker,
+// metrics_retention = 0, is the reference the determinism suite compares
+// against) while month-scale runs hold O(window) metric state instead of
+// O(steps).
+constexpr SimDuration kCampaignMetricsRetention = Hours(2);
 
 SystemConfig QuickstartSystem(std::uint64_t seed) {
   SystemConfig config;
@@ -117,8 +103,6 @@ SystemConfig QuickstartSystem(std::uint64_t seed) {
   config.job.base_step_time = Seconds(10);
   config.seed = seed;
   config.spare_machines = 4;
-  config.job.batched_stepping = StepBatchingEnabled();
-  config.metrics_retention = MetricsRetentionFromEnv();
   return config;
 }
 
@@ -234,15 +218,11 @@ void CollectSystemMetrics(ByteRobustSystem& sys, RunResult* r) {
   ComputeWas(r->machines, r);
 }
 
-RunResult RunMixed(const ScenarioSpec& spec, double days, std::uint64_t seed) {
+RunResult RunMixed(const ScenarioSpec& spec, double days, const ScenarioConfig& cfg) {
   RunResult r;
   r.scenario = spec.name;
-  r.seed = seed;
+  r.seed = cfg.system.seed;
   r.days = days;
-  ScenarioConfig cfg =
-      spec.domain ? DomainConfig(spec, days, seed) : MixedConfig(spec.name, days, seed);
-  cfg.system.job.batched_stepping = StepBatchingEnabled();
-  cfg.system.metrics_retention = MetricsRetentionFromEnv();
   Scenario scenario(cfg);
   scenario.Run();
   r.incidents_injected = scenario.stats().incidents_injected;
@@ -254,7 +234,7 @@ RunResult RunMixed(const ScenarioSpec& spec, double days, std::uint64_t seed) {
   if (obs::DashboardEnabled()) {
     ByteRobustSystem& sys = scenario.system();
     obs::RecordDashboardJob(obs::SampleDashboardJob(
-        std::string(spec.name) + " seed " + std::to_string(seed), seed,
+        std::string(spec.name) + " seed " + std::to_string(r.seed), r.seed,
         /*ordinal=*/0, sys.ettr(), sys.mfu_series(), sys.sim().Now()));
   }
   return r;
@@ -262,14 +242,14 @@ RunResult RunMixed(const ScenarioSpec& spec, double days, std::uint64_t seed) {
 
 // A targeted campaign: one symptom, injected at exponential intervals onto a
 // random serving machine, with the infrastructure root cause (the controller
-// must evict the machine to clear it).
+// must evict the machine to clear it). Only cfg.system and cfg.duration apply.
 class TargetedCampaign {
  public:
-  TargetedCampaign(const ScenarioSpec& spec, double days, std::uint64_t seed)
+  TargetedCampaign(const ScenarioSpec& spec, const ScenarioConfig& cfg)
       : spec_(spec),
-        sys_(QuickstartSystem(seed)),
-        rng_(seed ^ 0xF00DULL),
-        duration_(Days(days)),
+        sys_(cfg.system),
+        rng_(cfg.system.seed ^ 0xF00DULL),
+        duration_(cfg.duration),
         mean_gap_(Minutes(40)) {}
 
   int Run() {
@@ -339,18 +319,18 @@ class TargetedCampaign {
   int injected_ = 0;
 };
 
-RunResult RunTargeted(const ScenarioSpec& spec, double days, std::uint64_t seed) {
+RunResult RunTargeted(const ScenarioSpec& spec, double days, const ScenarioConfig& cfg) {
   RunResult r;
   r.scenario = spec.name;
-  r.seed = seed;
+  r.seed = cfg.system.seed;
   r.days = days;
-  TargetedCampaign campaign(spec, days, seed);
+  TargetedCampaign campaign(spec, cfg);
   r.incidents_injected = campaign.Run();
   CollectSystemMetrics(campaign.system(), &r);
   if (obs::DashboardEnabled()) {
     ByteRobustSystem& sys = campaign.system();
     obs::RecordDashboardJob(obs::SampleDashboardJob(
-        std::string(spec.name) + " seed " + std::to_string(seed), seed,
+        std::string(spec.name) + " seed " + std::to_string(r.seed), r.seed,
         /*ordinal=*/0, sys.ettr(), sys.mfu_series(), sys.sim().Now()));
   }
   return r;
@@ -526,8 +506,7 @@ void WriteFleetAggregates(JsonWriter* w, const std::vector<std::vector<double>>&
 SeedOutcome RunFleetSeed(const FleetSpec& spec, double days, std::uint64_t seed) {
   FleetConfig cfg = spec.make(days, seed);
   for (FleetJobSpec& job : cfg.jobs) {
-    job.scenario.system.job.batched_stepping = StepBatchingEnabled();
-    job.scenario.system.metrics_retention = MetricsRetentionFromEnv();
+    job.scenario.system.metrics_retention = kCampaignMetricsRetention;
   }
   Fleet fleet(cfg);
   fleet.Run();
@@ -643,8 +622,24 @@ SeedOutcome RunFleetSeed(const FleetSpec& spec, double days, std::uint64_t seed)
 
 }  // namespace
 
+ScenarioConfig BuildScenarioConfig(const ScenarioSpec& spec, double days, std::uint64_t seed) {
+  ScenarioConfig cfg;
+  if (spec.targeted) {
+    cfg.system = QuickstartSystem(seed);
+    cfg.duration = Days(days);
+  } else {
+    cfg = spec.domain ? DomainConfig(spec, days, seed) : MixedConfig(spec.name, days, seed);
+  }
+  cfg.system.metrics_retention = kCampaignMetricsRetention;
+  return cfg;
+}
+
+RunResult RunScenarioConfig(const ScenarioSpec& spec, double days, const ScenarioConfig& cfg) {
+  return spec.targeted ? RunTargeted(spec, days, cfg) : RunMixed(spec, days, cfg);
+}
+
 RunResult RunOne(const ScenarioSpec& spec, double days, std::uint64_t seed) {
-  return spec.targeted ? RunTargeted(spec, days, seed) : RunMixed(spec, days, seed);
+  return RunScenarioConfig(spec, days, BuildScenarioConfig(spec, days, seed));
 }
 
 void WriteRun(JsonWriter* w, const RunResult& r) {

@@ -90,7 +90,18 @@ struct RunResult {
   DomainBlastStats domain_blast;  // empty unless the scenario injects domain faults
 };
 
-// Runs one scenario seed (targeted or mixed) to a RunResult.
+// The config one scenario seed runs: the simulated system (seed, campaign
+// metric retention), duration and, for mixed scenarios, the fault streams.
+// Targeted scenarios use only .system and .duration.
+ScenarioConfig BuildScenarioConfig(const ScenarioSpec& spec, double days, std::uint64_t seed);
+
+// Runs one scenario seed from a given config (seed = cfg.system.seed). Tests
+// flip the config's reference-path fields here (job.batched_stepping,
+// monitor.quiescent, metrics_retention); the rendered run must not change.
+RunResult RunScenarioConfig(const ScenarioSpec& spec, double days, const ScenarioConfig& cfg);
+
+// Runs one scenario seed (targeted or mixed) to a RunResult:
+// RunScenarioConfig on BuildScenarioConfig(spec, days, seed).
 RunResult RunOne(const ScenarioSpec& spec, double days, std::uint64_t seed);
 
 // Renders one RunResult as a JSON object at the writer's current position
@@ -119,7 +130,7 @@ struct CampaignRequest {
   std::string out_path;
   std::string journal_path;
   std::string resume_path;
-  int retries = -1;  // < 0 defers to env/default
+  int retries = -1;  // < 0 keeps the default (2)
   bool journal_sync = false;
 };
 

@@ -26,6 +26,11 @@ inline constexpr SimDuration kMinute = 60 * kSecond;
 inline constexpr SimDuration kHour = 60 * kMinute;
 inline constexpr SimDuration kDay = 24 * kHour;
 
+// Largest span in days accepted from outside the program (CLI --days, the
+// serve "days" field): 100 years, far inside SimTime's int64 microsecond
+// range (~292,000 years), so Days() on an accepted value cannot overflow.
+inline constexpr double kMaxExternalDays = 36500.0;
+
 // Converts a (possibly fractional) number of seconds to a SimDuration.
 constexpr SimDuration Seconds(double s) { return static_cast<SimDuration>(s * kSecond); }
 constexpr SimDuration Milliseconds(double ms) {

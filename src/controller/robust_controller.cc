@@ -299,7 +299,13 @@ void RobustController::EvictAndRestart(std::vector<MachineId> machines,
   std::vector<MachineId> replacements = standby_pool_->Claim(k);
   const int shortfall = k - static_cast<int>(replacements.size());
   for (int i = 0; i < shortfall; ++i) {
-    replacements.push_back(cluster_->AddMachine());  // reschedule path
+    // Reschedule path. Reserve the new machine until ReplaceSlot installs it
+    // below, as SpareArbiter::PreemptOne does: kStandbySleep keeps it out of
+    // IdleMachines(), so a fleet-wide Replenish cannot provision it as a
+    // standby meanwhile and later hand it out a second time.
+    const MachineId fresh = cluster_->AddMachine();
+    cluster_->machine(fresh).set_state(MachineState::kStandbySleep);
+    replacements.push_back(fresh);
   }
 
   const int scale = cluster_->num_training_slots();

@@ -33,6 +33,11 @@ bool ParseNonNegativeInt(const std::string& text, int* out) {
   return true;
 }
 
+// Cap on BYTEROBUST_SEED_TIMEOUT_S (about 11.6 days). The watchdog hands its
+// deadline to CondVar::WaitFor, whose double-to-chrono conversion overflows
+// near 9.2e9 s; an overflowed wait returns at once and the watchdog spins.
+constexpr double kMaxSeedTimeoutS = 1e6;
+
 // Per-decision salts: each (index, attempt, kind) triple gets its own Rng so
 // fault draws are independent of each other and of --jobs scheduling.
 constexpr std::uint64_t kCrashSalt = 0x6372617368ULL;  // "crash"
@@ -100,34 +105,16 @@ bool HarnessFaultSpec::Parse(const std::string& text, HarnessFaultSpec* spec,
 bool SupervisorConfig::FromEnv(std::uint64_t campaign_seed, SupervisorConfig* config,
                                std::string* error) {
   config->seed = campaign_seed;
-  if (const char* retries = std::getenv("BYTEROBUST_SEED_RETRIES")) {
-    int value = 0;
-    if (!ParseNonNegativeInt(retries, &value)) {
-      *error = "BYTEROBUST_SEED_RETRIES must be a non-negative integer, got '" +
-               std::string(retries) + "'";
-      return false;
-    }
-    config->max_attempts = 1 + value;
-  }
   if (const char* timeout = std::getenv("BYTEROBUST_SEED_TIMEOUT_S")) {
     char* end = nullptr;
     const double value = std::strtod(timeout, &end);
-    if (*timeout == '\0' || *end != '\0' || value <= 0.0) {
-      *error = "BYTEROBUST_SEED_TIMEOUT_S must be a positive number, got '" +
+    // The negated range test also rejects NaN.
+    if (*timeout == '\0' || *end != '\0' || !(value > 0.0 && value <= kMaxSeedTimeoutS)) {
+      *error = "BYTEROBUST_SEED_TIMEOUT_S must be a number in (0, 1e6], got '" +
                std::string(timeout) + "'";
       return false;
     }
     config->timeout_override_s = value;
-  }
-  if (const char* factor = std::getenv("BYTEROBUST_SEED_TIMEOUT_FACTOR")) {
-    char* end = nullptr;
-    const double value = std::strtod(factor, &end);
-    if (*factor == '\0' || *end != '\0' || value < 1.0) {
-      *error = "BYTEROBUST_SEED_TIMEOUT_FACTOR must be >= 1, got '" +
-               std::string(factor) + "'";
-      return false;
-    }
-    config->timeout_factor = value;
   }
   if (const char* faults = std::getenv("BYTEROBUST_HARNESS_FAULTS")) {
     if (!HarnessFaultSpec::Parse(faults, &config->faults, error)) {

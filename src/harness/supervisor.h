@@ -110,9 +110,10 @@ struct SupervisorConfig {
   HarnessFaultSpec faults;
   std::atomic<bool>* external_stop = nullptr;  // shared with the signal handler
 
-  // Applies BYTEROBUST_SEED_RETRIES / BYTEROBUST_SEED_TIMEOUT_S /
-  // BYTEROBUST_SEED_TIMEOUT_FACTOR / BYTEROBUST_HARNESS_FAULTS on top of the
-  // defaults. False + *error on a malformed value.
+  // Applies BYTEROBUST_SEED_TIMEOUT_S (seconds, in (0, 1e6]) and
+  // BYTEROBUST_HARNESS_FAULTS on top of the defaults. False + *error on a
+  // malformed or out-of-range value. Retries come from --retries or the serve
+  // request's "retries" field, not from here.
   static bool FromEnv(std::uint64_t campaign_seed, SupervisorConfig* config,
                       std::string* error);
 };

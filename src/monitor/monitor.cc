@@ -1,28 +1,12 @@
 #include "src/monitor/monitor.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <utility>
 
 #include "src/common/log.h"
 
 namespace byterobust {
-
-namespace {
-
-// Escape hatch for the quiescent-vs-periodic equivalence ctest:
-// BYTEROBUST_QUIESCENT_MONITOR=0 pins the periodic reference path process-wide
-// so campaign JSON can be byte-compared across the two schedules.
-bool QuiescentMonitorEnvEnabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("BYTEROBUST_QUIESCENT_MONITOR");
-    return env == nullptr || std::string(env) != "0";
-  }();
-  return enabled;
-}
-
-}  // namespace
 
 const char* AnomalySourceName(AnomalySource source) {
   switch (source) {
@@ -47,7 +31,6 @@ Monitor::Monitor(const MonitorConfig& config, Simulator* sim, Cluster* cluster, 
       sim_(sim),
       cluster_(cluster),
       job_(job),
-      quiescent_(config.quiescent && QuiescentMonitorEnvEnabled()),
       rules_(config.metrics) {
   job_->AddStepObserver([this](const StepRecord& rec) { OnStepRecord(rec); });
   job_->AddStateObserver([this](JobRunState state) { OnJobStateChange(state); });
@@ -59,7 +42,7 @@ void Monitor::Start() {
   }
   running_ = true;
   anchor_ = sim_->Now();
-  if (!quiescent_) {
+  if (!config_.quiescent) {
     for (InspectionCategory cat :
          {InspectionCategory::kNetwork, InspectionCategory::kGpu, InspectionCategory::kHost}) {
       sim_->Schedule(config_.intervals.For(cat), [this, cat] { RunInspectionPass(cat); });
@@ -81,7 +64,7 @@ void Monitor::OnJobRestart() {
   rules_.Reset();
   crash_reported_ = false;
   hang_reported_ = false;
-  if (quiescent_ && running_) {
+  if (config_.quiescent && running_) {
     // The flag reset can newly enable the hang/crash predicates, and evicted
     // suspects may have left the serving set: recompute both schedules.
     ArmAllInspections();
@@ -139,7 +122,7 @@ void Monitor::ArmAllInspections() {
 }
 
 void Monitor::ArmInspection(InspectionCategory category) {
-  if (!quiescent_) {
+  if (!config_.quiescent) {
     sim_->Schedule(config_.intervals.For(category),
                    [this, category] { RunInspectionPass(category); });
     return;
@@ -186,7 +169,7 @@ void Monitor::RunInspectionPass(InspectionCategory category) {
 }
 
 void Monitor::ArmWatchdog() {
-  if (!quiescent_ || !running_) {
+  if (!config_.quiescent || !running_) {
     return;
   }
   // Earliest grid tick at which a watchdog predicate could fire given the
@@ -229,7 +212,7 @@ void Monitor::RunWatchdog() {
   // a same-tick pass that stops the job first on the periodic path. It skips
   // the crash branch here; the re-arm below immediately schedules a
   // crash-armed wake at this same timestamp, behind those passes.
-  const bool evaluate_crash = !quiescent_ || watchdog_crash_armed_;
+  const bool evaluate_crash = !config_.quiescent || watchdog_crash_armed_;
   watchdog_event_ = kInvalidEventId;
   watchdog_crash_armed_ = false;
   if (!running_) {
@@ -267,7 +250,7 @@ void Monitor::RunWatchdog() {
       Emit(std::move(report));
     }
   }
-  if (!quiescent_) {
+  if (!config_.quiescent) {
     sim_->Schedule(config_.watchdog_interval, [this] { RunWatchdog(); });
     return;
   }
@@ -276,7 +259,7 @@ void Monitor::RunWatchdog() {
 
 void Monitor::OnJobStateChange(JobRunState state) {
   (void)state;
-  if (quiescent_ && running_) {
+  if (config_.quiescent && running_) {
     ArmWatchdog();
   }
 }

@@ -10,9 +10,8 @@
 // last_progress + hang_grace. The cluster's health-epoch waker and a TrainJob
 // state observer re-arm them on demand, so monitoring event traffic is
 // proportional to incidents, not simulated time, and the batched step loop
-// runs unimpeded between incidents. Setting BYTEROBUST_QUIESCENT_MONITOR=0
-// (or MonitorConfig::quiescent = false) pins the periodic reference path;
-// campaign JSON is byte-identical either way.
+// runs unimpeded between incidents. MonitorConfig::quiescent = false pins the
+// periodic reference path; campaign JSON is byte-identical either way.
 
 #ifndef SRC_MONITOR_MONITOR_H_
 #define SRC_MONITOR_MONITOR_H_
@@ -47,8 +46,8 @@ struct MonitorConfig {
   // Consecutive unresponsive-switch events required before alerting.
   int switch_event_threshold = 2;
 
-  // Quiescence-driven scheduling (see the file comment). The env knob
-  // BYTEROBUST_QUIESCENT_MONITOR=0 overrides this to false process-wide.
+  // Quiescence-driven scheduling (see the file comment); false selects the
+  // periodic reference path.
   bool quiescent = true;
 };
 
@@ -65,9 +64,6 @@ class Monitor {
   void Start();
   void Stop();
   bool running() const { return running_; }
-
-  // True when this monitor runs the quiescent schedule (config && env).
-  bool quiescent() const { return quiescent_; }
 
   // Clears per-run state (outstanding alerts, metric baselines) after the
   // controller restarts the job.
@@ -112,7 +108,6 @@ class Monitor {
   AnomalyHandler handler_;
 
   bool running_ = false;
-  bool quiescent_ = true;
   std::uint64_t reports_emitted_ = 0;
   // De-duplication: (machine, symptom) pairs already reported this run.
   std::set<std::pair<MachineId, int>> outstanding_;

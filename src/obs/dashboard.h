@@ -9,8 +9,8 @@
 //
 // Rides the existing retention machinery: with the campaign's two-hour
 // retention the dashboard covers the trailing two simulated hours per job;
-// with BYTEROBUST_METRIC_WINDOW=0 (unbounded retention) it covers the whole
-// run.
+// with unbounded retention (SystemConfig::metrics_retention = 0) it covers
+// the whole run.
 //
 // Side channel contract: collection never touches campaign/fleet output
 // bytes (pinned by the cli_observability_equivalence gate). Entries are

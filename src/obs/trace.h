@@ -1,12 +1,11 @@
 // Trace-span recorder emitting Chrome trace_event JSON.
 //
-// A process-global writer, off by default, enabled by `--trace <file>` or
-// BYTEROBUST_TRACE. When enabled, instrumented sites across the harness
-// (seed attempts, retries, watchdog fires, quarantines, journal commits),
-// the campaign engine (worker seed occupancy, ordered-commit waits, spill
-// merge), and the serve daemon (admit -> queue -> run -> respond, sheds,
-// cancels) append events the Perfetto / chrome://tracing viewers open
-// directly.
+// A process-global writer, off by default, enabled by `--trace <file>`. When
+// enabled, instrumented sites across the harness (seed attempts, retries,
+// watchdog fires, quarantines, journal commits), the campaign engine (worker
+// seed occupancy, ordered-commit waits, spill merge), and the serve daemon
+// (admit -> queue -> run -> respond, sheds, cancels) append events the
+// Perfetto / chrome://tracing viewers open directly.
 //
 // Determinism contract: the trace is strictly a side channel. Campaign,
 // fleet, and serve response bytes are identical with tracing on or off —
@@ -55,10 +54,6 @@ inline bool TraceEnabled() {
 // wins). Also enables the metrics registry (src/obs/metrics.h) so the
 // StopTrace() footer can embed final counter values.
 bool StartTrace(const std::string& path, std::string* error);
-
-// StartTrace(getenv("BYTEROBUST_TRACE")) when the variable is set and
-// non-empty; no-op (true) otherwise.
-bool StartTraceFromEnv(std::string* error);
 
 // Writes counter footer events + the closing "]" and closes the file.
 // Idempotent; safe if no trace is running.

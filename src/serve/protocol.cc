@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "src/common/sim_time.h"
 #include "src/harness/exit_codes.h"
 
 namespace byterobust {
@@ -232,8 +233,8 @@ bool ParseServeRequest(const std::string& line, ServeRequest* request, std::stri
           if (!ExpectNumber(value, key, &num, error)) {
             return false;
           }
-          if (num <= 0.0) {
-            *error = "days must be > 0";
+          if (!(num > 0.0 && num <= kMaxExternalDays)) {  // also rejects NaN
+            *error = "days must be in (0, 36500]";
             return false;
           }
           request->days = num;

@@ -1,12 +1,19 @@
 // Determinism suite: the simulator rewrite (bucket queue, slab, tombstone
 // cancellation) must not change observable behavior for a fixed seed. Two
 // runs of the same campaign must agree on every metric, and cancel-heavy
-// event patterns must dispatch in exactly (time, schedule order).
+// event patterns must dispatch in exactly (time, schedule order). The
+// reference-path oracle also lives here: every named scenario must render
+// the same run bytes on each per-step / periodic / unbounded reference path
+// as on the optimized default.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
+#include "src/campaign/json_writer.h"
+#include "src/campaign/scenarios.h"
 #include "src/core/scenario.h"
 #include "src/sim/simulator.h"
 
@@ -113,6 +120,72 @@ TEST(DeterminismTest, CancelHeavyInterleavingReplaysExactly) {
   }
   EXPECT_EQ(first, expected);
 }
+
+// ---------------------------------------------------------------------------
+// Reference-path oracle. Batched stepping, quiescent monitoring and windowed
+// ETTR/MFU metrics are optimizations, not semantics: flipping any one of them
+// back to its reference implementation must leave the rendered run (the
+// bytes of one campaign "runs" element) unchanged.
+// ---------------------------------------------------------------------------
+struct ReferenceFlip {
+  const char* name;
+  void (*apply)(ScenarioConfig*);
+};
+
+const std::vector<ReferenceFlip>& ReferenceFlips() {
+  static const std::vector<ReferenceFlip> flips = {
+      {"per-step stepping", [](ScenarioConfig* c) { c->system.job.batched_stepping = false; }},
+      {"periodic monitor", [](ScenarioConfig* c) { c->system.monitor.quiescent = false; }},
+      {"unbounded metrics", [](ScenarioConfig* c) { c->system.metrics_retention = 0; }},
+  };
+  return flips;
+}
+
+std::string RenderRun(const ScenarioSpec& spec, double days, const ScenarioConfig& cfg) {
+  JsonWriter w;
+  WriteRun(&w, RunScenarioConfig(spec, days, cfg));
+  return w.Take();
+}
+
+std::vector<std::string> ScenarioNames() {
+  std::vector<std::string> names;
+  for (const ScenarioSpec& spec : Specs()) {
+    names.emplace_back(spec.name);
+  }
+  return names;
+}
+
+class ReferencePathOracleTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ReferencePathOracleTest, EveryReferenceFlipRendersTheSameRun) {
+  const ScenarioSpec* spec = FindSpec(GetParam());
+  ASSERT_NE(spec, nullptr);
+  // Both lengths outlast the 2 h metric retention window, so the windowed
+  // and unbounded trackers really diverge in what they keep.
+  for (const std::uint64_t seed : {42ULL, 1000ULL}) {
+    for (const double days : {0.5, 2.0}) {
+      const ScenarioConfig base = BuildScenarioConfig(*spec, days, seed);
+      ASSERT_TRUE(base.system.job.batched_stepping);
+      ASSERT_TRUE(base.system.monitor.quiescent);
+      ASSERT_GT(base.system.metrics_retention, 0);
+      const std::string expected = RenderRun(*spec, days, base);
+      for (const ReferenceFlip& flip : ReferenceFlips()) {
+        ScenarioConfig cfg = base;
+        flip.apply(&cfg);
+        EXPECT_EQ(expected, RenderRun(*spec, days, cfg))
+            << spec->name << " seed " << seed << " days " << days << ": " << flip.name;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllScenarios, ReferencePathOracleTest,
+                         ::testing::ValuesIn(ScenarioNames()),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           std::string name = info.param;
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace byterobust

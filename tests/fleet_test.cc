@@ -317,6 +317,23 @@ TEST(FleetTest, SwitchStormSpansJobs) {
   EXPECT_GE(d.cross_job, 1) << "expected at least one storm hitting both jobs";
 }
 
+// Regression: a machine added to the shared pool for one job's reschedule
+// must stay reserved until that job installs it. Left idle in between, another
+// job's fleet-wide Replenish provisioned it as a standby, and a later claim
+// handed it out a second time; ReplaceSlot then threw "replacement machine is
+// blacklisted" (this seed) or "already in service".
+TEST(FleetTest, SwitchStormNeverHandsOutAMachineTwice) {
+  Fleet fleet(FleetSwitchStormConfig(/*days=*/1.0, /*seed=*/55));
+  ASSERT_NO_THROW(fleet.Run());
+  std::set<MachineId> serving;
+  for (int i = 0; i < fleet.num_jobs(); ++i) {
+    for (MachineId m : fleet.system(i).cluster().serving_slots()) {
+      EXPECT_TRUE(serving.insert(m).second) << "machine " << m << " serves two slots";
+      EXPECT_FALSE(fleet.pool().IsBlacklisted(m)) << "machine " << m;
+    }
+  }
+}
+
 TEST(FleetTest, StartTimesStaggerJobLaunches) {
   FleetConfig cfg = FleetMixedConfig(/*days=*/0.3, /*seed=*/11);
   Fleet fleet(cfg);

@@ -1,13 +1,15 @@
 // Harness fault-tolerance suite: deterministic backoff jitter, the resumable
 // campaign journal's round-trip / truncation / corruption contracts, the seed
-// supervisor's watchdog + retry + quarantine state machine, and the
-// BYTEROBUST_HARNESS_FAULTS self-fault-injection grammar.
+// supervisor's watchdog + retry + quarantine state machine, the
+// BYTEROBUST_HARNESS_FAULTS self-fault-injection grammar, and the range
+// check on BYTEROBUST_SEED_TIMEOUT_S.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -439,6 +441,41 @@ TEST(SeedSupervisorTest, WatchdogFiresOnlyPastDeadline) {
   EXPECT_FALSE(cancelled_seen->load());
 }
 
+// A worker that ignores its token past the cancel grace is abandoned
+// (detached) and its seed quarantined at once: a deterministic hang would
+// only hang again, so it is not retried.
+TEST(SeedSupervisorTest, NonCooperativeHangIsAbandonedWithoutRetry) {
+  SupervisorConfig config = FastConfig();
+  config.timeout_override_s = 0.1;
+  config.cancel_grace_s = 0.05;
+  SeedSupervisor supervisor(config);
+  auto release = std::make_shared<std::atomic<bool>>(false);
+  auto finished = std::make_shared<std::atomic<bool>>(false);
+  std::string result;
+  SeedFailure failure;
+  const bool ok = supervisor.Supervise<std::string>(
+      3,
+      [release, finished](const CancelToken&) {
+        while (!release->load()) {  // never looks at the token
+          SleepMs(1.0);
+        }
+        finished->store(true);
+        return std::string("too late");
+      },
+      &result, &failure);
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(failure.index, 3);
+  EXPECT_EQ(failure.attempts, 1);
+  EXPECT_TRUE(failure.timed_out);
+  EXPECT_NE(failure.error.find("did not yield"), std::string::npos) << failure.error;
+  EXPECT_TRUE(result.empty());
+  // Let the abandoned worker finish so it does not outlive the test.
+  release->store(true);
+  while (!finished->load()) {
+    SleepMs(1.0);
+  }
+}
+
 TEST(SeedSupervisorTest, TrailingEstimateScalesDeadline) {
   SupervisorConfig config = FastConfig();
   config.timeout_override_s = 0.0;
@@ -457,6 +494,32 @@ TEST(SeedSupervisorTest, TrailingEstimateScalesDeadline) {
   // EWMA seeded at ~20ms; deadline = factor * estimate >= 100ms.
   EXPECT_GE(supervisor.AttemptTimeoutS(), 0.1);
   EXPECT_LE(supervisor.AttemptTimeoutS(), 10.0);
+}
+
+// BYTEROBUST_SEED_TIMEOUT_S comes from outside the program. Past ~9.2e9 s
+// the watchdog's timed wait overflows and returns at once, so the supervisor
+// would spin: only finite values in (0, 1e6] are accepted.
+TEST(SupervisorConfigTest, FromEnvAcceptsOnlyBoundedFiniteTimeouts) {
+  ::unsetenv("BYTEROBUST_HARNESS_FAULTS");
+  const auto from_env = [](const char* value, SupervisorConfig* config, std::string* error) {
+    ::setenv("BYTEROBUST_SEED_TIMEOUT_S", value, /*overwrite=*/1);
+    const bool ok = SupervisorConfig::FromEnv(42, config, error);
+    ::unsetenv("BYTEROBUST_SEED_TIMEOUT_S");
+    return ok;
+  };
+  for (const char* bad : {"inf", "-inf", "nan", "1e300", "1e10", "1000001", "0", "-1", "", "5s"}) {
+    SupervisorConfig config;
+    std::string error;
+    EXPECT_FALSE(from_env(bad, &config, &error)) << "'" << bad << "'";
+    EXPECT_NE(error.find("BYTEROBUST_SEED_TIMEOUT_S"), std::string::npos) << error;
+  }
+  for (const double good : {0.5, 1e6}) {
+    SupervisorConfig config;
+    std::string error;
+    ASSERT_TRUE(from_env(std::to_string(good).c_str(), &config, &error)) << error;
+    EXPECT_DOUBLE_EQ(config.timeout_override_s, good);
+    EXPECT_EQ(config.seed, 42u);
+  }
 }
 
 TEST(SeedSupervisorTest, StopAfterFaultRequestsExternalStop) {

@@ -74,6 +74,11 @@ TEST(ServeProtocolTest, RejectsMalformedAndHostileRequests) {
       {"{\"op\":\"campaign\",\"seeds\":100001}", "seeds"},
       {"{\"op\":\"campaign\",\"jobs\":257}", "jobs"},
       {"{\"op\":\"campaign\",\"days\":-1}", "days"},
+      // "days" reaches SimTime math (int64 microseconds): overflowing or
+      // non-finite values must be a request error, not quarantined seeds.
+      {"{\"op\":\"campaign\",\"days\":1e300}", "days must be in (0, 36500]"},
+      {"{\"op\":\"campaign\",\"days\":1e400}", "days must be in (0, 36500]"},
+      {"{\"op\":\"campaign\",\"days\":36500.5}", "days must be in (0, 36500]"},
       {"{\"op\":\"campaign\",\"deadline_s\":-2}", "deadline_s"},
       {"{\"op\":\"campaign\",\"retries\":101}", "retries"},
       {"{\"op\":\"campaign\",\"bogus\":1}", "unknown request field 'bogus'"},

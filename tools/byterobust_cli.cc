@@ -154,17 +154,18 @@ int Usage() {
                "  machine crashes, not just process crashes); --resume FILE skips the\n"
                "  seeds that manifest already holds and appends the rest, producing\n"
                "  byte-identical merged output. --retries N bounds per-seed retry\n"
-               "  attempts (also BYTEROBUST_SEED_RETRIES); seeds that still fail are\n"
-               "  quarantined into a \"failed_runs\" block (exit 20). SIGINT/SIGTERM\n"
-               "  drain in-flight seeds and exit 30. See also BYTEROBUST_SEED_TIMEOUT_S\n"
-               "  / _FACTOR and BYTEROBUST_HARNESS_FAULTS.\n"
+               "  attempts (default 2); seeds that still fail are quarantined into a\n"
+               "  \"failed_runs\" block (exit 20). SIGINT/SIGTERM drain in-flight\n"
+               "  seeds and exit 30. --days D must be in (0, 36500]. Environment:\n"
+               "  BYTEROBUST_SEED_TIMEOUT_S pins the per-seed watchdog (seconds, at\n"
+               "  most 1e6) and BYTEROBUST_HARNESS_FAULTS injects harness faults.\n"
                "\n"
-               "  --trace FILE (or BYTEROBUST_TRACE=FILE) records Chrome trace_event\n"
-               "  JSON spans (harness attempts/retries/watchdog, engine workers and\n"
-               "  commit waits, serve request lifecycle) viewable in Perfetto or\n"
-               "  chrome://tracing; --dashboard FILE exports per-job sliding-window\n"
-               "  ETTR/MFU series. Both are side channels: output bytes are identical\n"
-               "  with or without them.\n"
+               "  --trace FILE records Chrome trace_event JSON spans (harness\n"
+               "  attempts/retries/watchdog, engine workers and commit waits, serve\n"
+               "  request lifecycle) viewable in Perfetto or chrome://tracing;\n"
+               "  --dashboard FILE exports per-job sliding-window ETTR/MFU series.\n"
+               "  Both are side channels: output bytes are identical with or without\n"
+               "  them.\n"
                "\n"
                "  serve hosts campaigns as a service: newline-delimited JSON requests\n"
                "  (ops campaign / fleet / status / shutdown) over a local socket, each\n"
@@ -267,8 +268,8 @@ bool ParseOptions(const std::string& command, int argc, char** argv, Options* op
       if (!ParseNumber(arg.c_str(), argv[++i], &value)) {
         return false;
       }
-      if (value <= 0.0) {
-        std::fprintf(stderr, "error: --days must be > 0\n");
+      if (!(value > 0.0 && value <= kMaxExternalDays)) {  // also rejects NaN
+        std::fprintf(stderr, "error: --days must be in (0, 36500]\n");
         return false;
       }
       opts->days = value;
@@ -597,15 +598,10 @@ int Main(int argc, char** argv) {
     return Usage();
   }
   // Tracing starts before the command and stops after it, so a graceful
-  // SIGTERM drain still closes the trace file properly (--trace wins over
-  // BYTEROBUST_TRACE when both are set).
-  {
+  // SIGTERM drain still closes the trace file properly.
+  if (!opts.trace_path.empty()) {
     std::string trace_error;
-    const bool trace_ok =
-        opts.trace_path.empty()
-            ? obs::StartTraceFromEnv(&trace_error)
-            : obs::StartTrace(opts.trace_path, &trace_error);
-    if (!trace_ok) {
+    if (!obs::StartTrace(opts.trace_path, &trace_error)) {
       std::fprintf(stderr, "error: %s\n", trace_error.c_str());
       return kExitIoError;
     }

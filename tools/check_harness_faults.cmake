@@ -52,9 +52,8 @@ foreach(jobs 1 8)
     execute_process(
         COMMAND ${CMAKE_COMMAND} -E env
             BYTEROBUST_HARNESS_FAULTS=${faults}
-            BYTEROBUST_SEED_RETRIES=8
             BYTEROBUST_SEED_TIMEOUT_S=0.5
-            ${CLI} ${scenario} --jobs ${jobs} ${extra} --out ${out}
+            ${CLI} ${scenario} --jobs ${jobs} ${extra} --retries 8 --out ${out}
         OUTPUT_QUIET
         RESULT_VARIABLE rc)
     if(NOT rc EQUAL 0)

@@ -30,13 +30,13 @@ endif()
 
 set(sock ${WORK_DIR}/serve.sock)
 execute_process(
-    COMMAND bash -c "(BYTEROBUST_HARNESS_FAULTS='${faults}' BYTEROBUST_SEED_RETRIES=8 BYTEROBUST_SEED_TIMEOUT_S=0.5 \"${CLI}\" serve --socket \"${sock}\" --workers 2 --jobs 8 </dev/null >\"${WORK_DIR}/serve.log\" 2>&1; echo -n $? > \"${WORK_DIR}/serve.exit\") </dev/null >/dev/null 2>&1 &"
+    COMMAND bash -c "(BYTEROBUST_HARNESS_FAULTS='${faults}' BYTEROBUST_SEED_TIMEOUT_S=0.5 \"${CLI}\" serve --socket \"${sock}\" --workers 2 --jobs 8 </dev/null >\"${WORK_DIR}/serve.log\" 2>&1; echo -n $? > \"${WORK_DIR}/serve.exit\") </dev/null >/dev/null 2>&1 &"
     RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "could not launch faulted serve daemon")
 endif()
 
-set(req "{\"op\":\"campaign\",\"scenario\":\"dense\",\"seeds\":6,\"days\":0.3,\"jobs\":8}")
+set(req "{\"op\":\"campaign\",\"scenario\":\"dense\",\"seeds\":6,\"days\":0.3,\"jobs\":8,\"retries\":8}")
 execute_process(
     COMMAND bash -c "\
 pids=; \

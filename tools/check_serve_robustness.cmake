@@ -27,11 +27,11 @@ file(MAKE_DIRECTORY ${WORK_DIR})
 # 1. Admission control under a pinned worker.
 # ---------------------------------------------------------------------------
 set(sock_a ${WORK_DIR}/serve_a.sock)
-# hang:1.0 pins every seed until the 5s watchdog; retries=0 quarantines it.
+# hang:1.0 pins every seed until the 5s watchdog; "retries":0 quarantines it.
 # The occupier therefore holds the only in-system slot for ~5s — a stable
 # window to probe admission — and then completes as a quarantined response.
 execute_process(
-    COMMAND bash -c "(BYTEROBUST_HARNESS_FAULTS='hang:1.0' BYTEROBUST_SEED_TIMEOUT_S=5 BYTEROBUST_SEED_RETRIES=0 \"${CLI}\" serve --socket \"${sock_a}\" --workers 1 --jobs 1 --max-queue 0 --max-seeds 8 </dev/null >\"${WORK_DIR}/serve_a.log\" 2>&1; echo -n $? > \"${WORK_DIR}/serve_a.exit\") </dev/null >/dev/null 2>&1 &"
+    COMMAND bash -c "(BYTEROBUST_HARNESS_FAULTS='hang:1.0' BYTEROBUST_SEED_TIMEOUT_S=5 \"${CLI}\" serve --socket \"${sock_a}\" --workers 1 --jobs 1 --max-queue 0 --max-seeds 8 </dev/null >\"${WORK_DIR}/serve_a.log\" 2>&1; echo -n $? > \"${WORK_DIR}/serve_a.exit\") </dev/null >/dev/null 2>&1 &"
     RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "could not launch admission daemon")
@@ -39,7 +39,7 @@ endif()
 
 execute_process(
     COMMAND ${CLI} request --socket ${sock_a}
-        --body "{\"op\":\"campaign\",\"scenario\":\"quickstart\",\"seeds\":64}"
+        --body "{\"op\":\"campaign\",\"scenario\":\"quickstart\",\"seeds\":64,\"retries\":0}"
         --raw --wait-s 15 --timeout-s 30
     OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc)
 if(NOT rc EQUAL 2)
@@ -48,14 +48,14 @@ endif()
 
 execute_process(
     COMMAND bash -c "\
-\"${CLI}\" request --socket \"${sock_a}\" --body '{\"op\":\"campaign\",\"scenario\":\"quickstart\",\"seeds\":1}' --raw --timeout-s 60 >\"${WORK_DIR}/occupier.json\" 2>/dev/null & \
+\"${CLI}\" request --socket \"${sock_a}\" --body '{\"op\":\"campaign\",\"scenario\":\"quickstart\",\"seeds\":1,\"retries\":0}' --raw --timeout-s 60 >\"${WORK_DIR}/occupier.json\" 2>/dev/null & \
 opid=$!; \
 for i in $(seq 100); do \
   st=$(\"${CLI}\" request --socket \"${sock_a}\" --body '{\"op\":\"status\"}' --raw --timeout-s 30 2>/dev/null); \
   case \"$st\" in *'\"active_requests\":1'*) break;; esac; \
   sleep 0.05; \
 done; \
-\"${CLI}\" request --socket \"${sock_a}\" --body '{\"op\":\"campaign\",\"scenario\":\"quickstart\",\"seeds\":1}' --raw >\"${WORK_DIR}/shed.json\" 2>/dev/null; \
+\"${CLI}\" request --socket \"${sock_a}\" --body '{\"op\":\"campaign\",\"scenario\":\"quickstart\",\"seeds\":1,\"retries\":0}' --raw >\"${WORK_DIR}/shed.json\" 2>/dev/null; \
 shed_rc=$?; \
 wait $opid; occ_rc=$?; \
 echo \"shed_rc=$shed_rc occ_rc=$occ_rc\" > \"${WORK_DIR}/admission.txt\"; \
