@@ -165,7 +165,7 @@ void BM_ServeRequestRoundtrip(benchmark::State& state) {
 BENCHMARK(BM_ServeRequestRoundtrip)->Unit(benchmark::kMillisecond);
 
 // Sustained service throughput: four concurrent clients hammer one daemon
-// (4 executor workers, --jobs 1 engines) with one-seed quickstart campaigns.
+// (--workers 4, --jobs 1 engines) with one-seed quickstart campaigns.
 // items/sec in the report is campaigns/sec — the service-level throughput
 // number ROADMAP's campaign-service item calls for, covering admission,
 // queueing, engine execution and response framing under real contention.

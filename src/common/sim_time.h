@@ -31,6 +31,20 @@ inline constexpr SimDuration kDay = 24 * kHour;
 // range (~292,000 years), so Days() on an accepted value cannot overflow.
 inline constexpr double kMaxExternalDays = 36500.0;
 
+// Closed ranges of the other campaign numbers accepted from outside the
+// program: the CLI flags and the serve request fields of the same meaning
+// share them, and `text` is how both parsers' error messages print them.
+struct ExternalRange {
+  double lo;
+  double hi;
+  const char* text;
+  constexpr bool Contains(double v) const { return v >= lo && v <= hi; }  // false for NaN
+};
+inline constexpr ExternalRange kExternalSeeds{1.0, 100000.0, "[1, 100000]"};
+inline constexpr ExternalRange kExternalBaseSeed{0.0, 9.0e15, "[0, 9e15]"};
+inline constexpr ExternalRange kExternalJobs{1.0, 256.0, "[1, 256]"};
+inline constexpr ExternalRange kExternalRetries{0.0, 100.0, "[0, 100]"};
+
 // Converts a (possibly fractional) number of seconds to a SimDuration.
 constexpr SimDuration Seconds(double s) { return static_cast<SimDuration>(s * kSecond); }
 constexpr SimDuration Milliseconds(double ms) {

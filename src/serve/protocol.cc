@@ -155,6 +155,19 @@ bool ExpectNumber(const JsonScalar& v, const std::string& key, double* out,
   return true;
 }
 
+// A number inside `range`; NaN is out of every range.
+bool ExpectNumberIn(const JsonScalar& v, const std::string& key, const ExternalRange& range,
+                    double* out, std::string* error) {
+  if (!ExpectNumber(v, key, out, error)) {
+    return false;
+  }
+  if (!range.Contains(*out)) {
+    *error = key + " must be in " + range.text;
+    return false;
+  }
+  return true;
+}
+
 bool ExpectString(const JsonScalar& v, const std::string& key, std::string* out,
                   std::string* error) {
   if (v.kind != JsonScalar::kString) {
@@ -178,6 +191,7 @@ bool ParseServeRequest(const std::string& line, ServeRequest* request, std::stri
   }
   ++pos;
   bool saw_op = false;
+  CampaignRequest& c = request->campaign;
   SkipWs(line, &pos);
   if (pos < line.size() && line[pos] == '}') {
     ++pos;
@@ -205,30 +219,22 @@ bool ParseServeRequest(const std::string& line, ServeRequest* request, std::stri
         }
         saw_op = true;
       } else if (key == "scenario") {
-        if (!ExpectString(value, key, &request->scenario, error)) {
+        if (!ExpectString(value, key, &c.scenario, error)) {
           return false;
         }
       } else if (key == "seeds") {
-        if (!ExpectNumber(value, key, &num, error)) {
+        if (!ExpectNumberIn(value, key, kExternalSeeds, &num, error)) {
           return false;
         }
-        if (num < 1.0 || num > 100000.0) {
-          *error = "seeds must be in [1, 100000]";
-          return false;
-        }
-        request->seeds = static_cast<int>(num);
+        c.seeds = static_cast<int>(num);
       } else if (key == "base_seed") {
-        if (!ExpectNumber(value, key, &num, error)) {
+        if (!ExpectNumberIn(value, key, kExternalBaseSeed, &num, error)) {
           return false;
         }
-        if (num < 0.0 || num > 9.0e15) {
-          *error = "base_seed must be in [0, 9e15]";
-          return false;
-        }
-        request->base_seed = static_cast<std::uint64_t>(num);
+        c.base_seed = static_cast<std::uint64_t>(num);
       } else if (key == "days") {
         if (value.kind == JsonScalar::kNull) {
-          request->days = -1.0;  // scenario default
+          c.days = -1.0;  // scenario default
         } else {
           if (!ExpectNumber(value, key, &num, error)) {
             return false;
@@ -237,17 +243,13 @@ bool ParseServeRequest(const std::string& line, ServeRequest* request, std::stri
             *error = "days must be in (0, 36500]";
             return false;
           }
-          request->days = num;
+          c.days = num;
         }
       } else if (key == "jobs") {
-        if (!ExpectNumber(value, key, &num, error)) {
+        if (!ExpectNumberIn(value, key, kExternalJobs, &num, error)) {
           return false;
         }
-        if (num < 1.0 || num > 256.0) {
-          *error = "jobs must be in [1, 256]";
-          return false;
-        }
-        request->jobs = static_cast<int>(num);
+        c.jobs = static_cast<int>(num);
       } else if (key == "deadline_s") {
         if (!ExpectNumber(value, key, &num, error)) {
           return false;
@@ -258,28 +260,24 @@ bool ParseServeRequest(const std::string& line, ServeRequest* request, std::stri
         }
         request->deadline_s = num;
       } else if (key == "journal") {
-        if (!ExpectString(value, key, &request->journal, error)) {
+        if (!ExpectString(value, key, &c.journal_path, error)) {
           return false;
         }
       } else if (key == "resume") {
-        if (!ExpectString(value, key, &request->resume, error)) {
+        if (!ExpectString(value, key, &c.resume_path, error)) {
           return false;
         }
       } else if (key == "retries") {
-        if (!ExpectNumber(value, key, &num, error)) {
+        if (!ExpectNumberIn(value, key, kExternalRetries, &num, error)) {
           return false;
         }
-        if (num < 0.0 || num > 100.0) {
-          *error = "retries must be in [0, 100]";
-          return false;
-        }
-        request->retries = static_cast<int>(num);
+        c.retries = static_cast<int>(num);
       } else if (key == "journal_sync") {
         if (value.kind != JsonScalar::kBool) {
           *error = "field 'journal_sync' must be a boolean";
           return false;
         }
-        request->journal_sync = value.boolean;
+        c.journal_sync = value.boolean;
       } else {
         *error = "unknown request field '" + key + "'";
         return false;
@@ -312,7 +310,7 @@ bool ParseServeRequest(const std::string& line, ServeRequest* request, std::stri
              "' (expected campaign, fleet, status or shutdown)";
     return false;
   }
-  if (!request->journal.empty() && !request->resume.empty()) {
+  if (!c.journal_path.empty() && !c.resume_path.empty()) {
     *error =
         "journal and resume are mutually exclusive "
         "(resume already appends to the journal it resumes)";

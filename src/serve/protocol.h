@@ -25,22 +25,20 @@
 #include <cstdint>
 #include <string>
 
+#include "src/campaign/scenarios.h"
+
 namespace byterobust {
 
-// One parsed request line. Defaults mirror the CLI flag defaults so a
-// request body is exactly as sparse as the equivalent command line.
+// One parsed request line. The campaign parameters are the CLI's own
+// CampaignRequest (same defaults), so a request body is exactly as sparse as
+// the equivalent command line. The parser fills scenario, seeds, base_seed,
+// days, jobs (capped later by the daemon's --jobs), journal_path ("journal"),
+// resume_path ("resume"), retries and journal_sync; the daemon sets command,
+// stream and the jobs cap when it runs the request.
 struct ServeRequest {
-  std::string op;        // "campaign" | "fleet" | "status" | "shutdown"
-  std::string scenario;
-  int seeds = 4;
-  std::uint64_t base_seed = 42;
-  double days = -1.0;        // < 0: scenario default
-  int jobs = 1;              // capped by the daemon's --jobs
-  double deadline_s = 0.0;   // > 0: cancel (drain) the request after this long
-  std::string journal;       // server-side path, like --journal
-  std::string resume;        // server-side path, like --resume
-  int retries = -1;
-  bool journal_sync = false;
+  std::string op;  // "campaign" | "fleet" | "status" | "shutdown"
+  CampaignRequest campaign;
+  double deadline_s = 0.0;  // > 0: cancel (drain) the request after this long
 };
 
 // Strict parse of one request line. On failure fills *error (no "error: "

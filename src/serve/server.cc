@@ -23,9 +23,9 @@ namespace {
 // A request line bigger than this is a broken client, not a campaign.
 constexpr std::size_t kMaxRequestBytes = 1 << 20;
 
-// Supervision granularity: the accept loop, connection read loops and the
-// CLI driver all poll at this period, so drains and deadlines are noticed
-// within one tick.
+// Supervision granularity: the accept loop (with its deadline/hang-up
+// scan), connection read loops and the CLI driver all poll at this period,
+// so drains, deadlines and client hang-ups are noticed within one tick.
 constexpr int kTickMs = 200;
 
 bool SendAll(int fd, const std::string& text) {
@@ -48,6 +48,54 @@ bool SendAll(int fd, const std::string& text) {
 
 std::string ShutdownAck() {
   return "{\"tool\":\"byterobust\",\"op\":\"shutdown\",\"status\":\"ok\",\"exit_code\":0}\n";
+}
+
+// True when the client on `fd` has gone: an orderly EOF or an abortive
+// error (ECONNRESET et al.). Bytes the client pipelined are left unread.
+bool ClientHungUp(int fd) {
+  char probe;
+  const ssize_t peeked = recv(fd, &probe, 1, MSG_PEEK | MSG_DONTWAIT);
+  return peeked == 0 ||
+         (peeked < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR);
+}
+
+// The engine run behind one admitted request: its response line (result,
+// partial result, or error envelope).
+std::string RunRequest(const ServeRequest& req, int max_jobs, std::atomic<bool>* stop,
+                       std::atomic<int>* seeds_done) {
+  CampaignRequest creq = req.campaign;
+  creq.command = req.op;
+  creq.jobs = std::min(creq.jobs, max_jobs);
+  // Direct streaming always: a deadline / disconnect / drain mid-request
+  // then still yields a valid partial document (closed runs array,
+  // failed_runs, aggregates over committed seeds) — and --jobs or partiality
+  // never change the bytes of what did commit.
+  creq.stream = true;
+
+  CampaignEngineSpec spec;
+  std::string error;
+  if (!BuildCampaignEngineSpec(creq, &spec, &error)) {
+    return RenderErrorResponse(req.op, error, kExitUsage);
+  }
+  std::string body;
+  spec.capture = &body;
+  spec.external_stop = stop;
+  spec.seeds_done = seeds_done;
+  std::string setup_error;
+  int code = kExitIoError;
+  try {
+    code = RunCampaignEngine(spec, &setup_error);
+  } catch (const std::exception& e) {
+    // A worker-pool failure (already wrapped with campaign/seed/worker
+    // context) is this request's failure, not the daemon's.
+    return RenderErrorResponse(req.op, e.what(), kExitIoError);
+  }
+  if (code == kExitUsage) {
+    return RenderErrorResponse(
+        req.op, setup_error.empty() ? "request setup failed" : setup_error, kExitUsage);
+  }
+  return RenderResultResponse(req.op, creq.scenario, code, creq.seeds,
+                              seeds_done->load(std::memory_order_relaxed), body);
 }
 
 }  // namespace
@@ -90,11 +138,6 @@ bool ServeDaemon::Start(std::string* error) {
   // histogram); response bytes for campaign/fleet ops are unaffected.
   obs::SetMetricsEnabled(true);
   accept_thread_ = std::thread(&ServeDaemon::AcceptLoop, this);
-  const int workers = std::max(1, opts_.workers);
-  executors_.reserve(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    executors_.emplace_back(&ServeDaemon::ExecutorLoop, this);
-  }
   return true;
 }
 
@@ -112,8 +155,6 @@ void ServeDaemon::RequestDrain() {
       p->stop.store(true, std::memory_order_release);
     }
   }
-  work_cv_.NotifyAll();
-  idle_cv_.NotifyAll();
 }
 
 int ServeDaemon::Drain() {
@@ -124,18 +165,8 @@ int ServeDaemon::Drain() {
   if (accept_thread_.joinable()) {
     accept_thread_.join();
   }
-  {
-    const MutexLock lock(&mu_);
-    while (!queue_.empty() || !running_.empty()) {
-      idle_cv_.Wait(&mu_);
-    }
-    closed_ = true;
-  }
-  work_cv_.NotifyAll();
-  for (std::thread& t : executors_) {
-    t.join();
-  }
-  executors_.clear();
+  // Every queued or running request belongs to a connection thread, and
+  // each finishes its (stopped) request and answers before it ends.
   ReapConnections(/*join_all=*/true);
   if (listen_fd_ >= 0) {
     close(listen_fd_);
@@ -165,7 +196,7 @@ ServeStatus ServeDaemon::Snapshot() const {
   s.active_requests = static_cast<int>(running_.size());
   for (const PendingRequest* p : running_) {
     s.inflight_seeds +=
-        std::max(0, p->request.seeds - p->seeds_done.load(std::memory_order_relaxed));
+        std::max(0, p->request.campaign.seeds - p->seeds_done.load(std::memory_order_relaxed));
   }
   s.admitted = admitted_;
   s.completed = completed_;
@@ -190,6 +221,7 @@ void ServeDaemon::AcceptLoop() {
     pfd.revents = 0;
     const int ready = poll(&pfd, 1, kTickMs);
     uptime_ticks_.fetch_add(1, std::memory_order_relaxed);
+    CancelExpiredRequests();
     if (ready <= 0) {
       // Tick (or EINTR): re-check draining, and reap finished connection
       // threads so an idle daemon doesn't hold exited threads until the next
@@ -241,39 +273,39 @@ void ServeDaemon::ReapConnections(bool join_all) {
   }
 }
 
-std::string ServeDaemon::FindBusyRequestPathLocked(const ServeRequest& req) const {
-  if (!req.journal.empty() && busy_paths_.count(req.journal) > 0) {
-    return req.journal;
+std::string ServeDaemon::FindBusyRequestPathLocked(const CampaignRequest& req) const {
+  if (!req.journal_path.empty() && busy_paths_.count(req.journal_path) > 0) {
+    return req.journal_path;
   }
-  if (!req.resume.empty() && busy_paths_.count(req.resume) > 0) {
-    return req.resume;
+  if (!req.resume_path.empty() && busy_paths_.count(req.resume_path) > 0) {
+    return req.resume_path;
   }
   return std::string();
 }
 
-void ServeDaemon::ReserveRequestPathsLocked(const ServeRequest& req) {
-  if (!req.journal.empty()) {
-    busy_paths_.insert(req.journal);
+void ServeDaemon::ReserveRequestPathsLocked(const CampaignRequest& req) {
+  if (!req.journal_path.empty()) {
+    busy_paths_.insert(req.journal_path);
   }
-  if (!req.resume.empty()) {
-    busy_paths_.insert(req.resume);
+  if (!req.resume_path.empty()) {
+    busy_paths_.insert(req.resume_path);
   }
 }
 
-void ServeDaemon::ReleaseRequestPathsLocked(const ServeRequest& req) {
-  if (!req.journal.empty()) {
-    busy_paths_.erase(req.journal);
+void ServeDaemon::ReleaseRequestPathsLocked(const CampaignRequest& req) {
+  if (!req.journal_path.empty()) {
+    busy_paths_.erase(req.journal_path);
   }
-  if (!req.resume.empty()) {
-    busy_paths_.erase(req.resume);
+  if (!req.resume_path.empty()) {
+    busy_paths_.erase(req.resume_path);
   }
 }
 
 std::string ServeDaemon::Admit(PendingRequest* request) {
   const ServeRequest& req = request->request;
-  if (req.seeds > opts_.max_seeds) {
+  if (req.campaign.seeds > opts_.max_seeds) {
     return RenderErrorResponse(req.op,
-                               "seeds " + std::to_string(req.seeds) +
+                               "seeds " + std::to_string(req.campaign.seeds) +
                                    " exceeds the server's per-request cap of " +
                                    std::to_string(opts_.max_seeds),
                                kExitUsage);
@@ -284,19 +316,22 @@ std::string ServeDaemon::Admit(PendingRequest* request) {
   {
     const MutexLock lock(&mu_);
     depth = static_cast<int>(queue_.size());
-    // Total-in-system admission: the executors provide `workers` slots and the
-    // queue `max_queue` more, so an idle daemon always admits (even with
-    // --max-queue 0) and in-flight requests are never affected by a shed.
+    // Total-in-system admission: `workers` execution slots plus `max_queue`
+    // waiting ones, so an idle daemon always admits (even with --max-queue 0)
+    // and in-flight requests are never affected by a shed.
     const int in_system = depth + static_cast<int>(running_.size());
     if (draining_.load(std::memory_order_acquire)) {
       reason = "daemon is draining";
     } else if (in_system >= opts_.max_queue + std::max(1, opts_.workers)) {
       reason = "request queue is full";
     } else {
-      busy_path = FindBusyRequestPathLocked(req);
+      busy_path = FindBusyRequestPathLocked(req.campaign);
       if (busy_path.empty()) {
-        ReserveRequestPathsLocked(req);
+        ReserveRequestPathsLocked(req.campaign);
         request->admitted_wall_s = WallSeconds();
+        if (req.deadline_s > 0.0) {
+          request->deadline_wall = request->admitted_wall_s + req.deadline_s;
+        }
         request->admit_ordinal = admitted_;
         queue_.push_back(request);
         ++admitted_;
@@ -319,112 +354,67 @@ std::string ServeDaemon::Admit(PendingRequest* request) {
   }
   obs::TraceInstantArg("request_admit", "serve",
                        static_cast<std::int64_t>(request->admit_ordinal));
-  work_cv_.NotifyOne();
   return std::string();
 }
 
-std::string ServeDaemon::Execute(PendingRequest* request) {
-  const ServeRequest& req = request->request;
-  CampaignRequest creq;
-  creq.command = req.op;
-  creq.scenario = req.scenario;
-  creq.seeds = req.seeds;
-  creq.base_seed = req.base_seed;
-  creq.days = req.days;
-  creq.jobs = std::min(req.jobs, std::max(1, opts_.jobs));
-  // Direct streaming always: a deadline / disconnect / drain mid-request
-  // then still yields a valid partial document (closed runs array,
-  // failed_runs, aggregates over committed seeds) — and --jobs or partiality
-  // never change the bytes of what did commit.
-  creq.stream = true;
-  creq.journal_path = req.journal;
-  creq.resume_path = req.resume;
-  creq.retries = req.retries;
-  creq.journal_sync = req.journal_sync;
-
-  CampaignEngineSpec spec;
-  std::string error;
-  if (!BuildCampaignEngineSpec(creq, &spec, &error)) {
-    return RenderErrorResponse(req.op, error, kExitUsage);
+void ServeDaemon::CancelExpiredRequests() {
+  const double now = WallSeconds();
+  const auto cancel_if_due = [now](PendingRequest* p) {
+    if (p->stop.load(std::memory_order_acquire)) {
+      return;
+    }
+    // A hung-up client cancels the request's remaining seeds; the journal
+    // (if any) keeps what already committed.
+    if ((p->deadline_wall > 0.0 && now >= p->deadline_wall) || ClientHungUp(p->fd)) {
+      p->stop.store(true, std::memory_order_release);
+      obs::TraceInstantArg("request_cancel", "serve",
+                           static_cast<std::int64_t>(p->admit_ordinal));
+    }
+  };
+  const MutexLock lock(&mu_);
+  for (PendingRequest* p : queue_) {
+    cancel_if_due(p);
   }
-  std::string body;
-  spec.capture = &body;
-  spec.external_stop = &request->stop;
-  spec.seeds_done = &request->seeds_done;
-  std::string setup_error;
-  int code = kExitIoError;
-  try {
-    code = RunCampaignEngine(spec, &setup_error);
-  } catch (const std::exception& e) {
-    // A worker-pool failure (already wrapped with campaign/seed/worker
-    // context) is this request's failure, not the daemon's.
-    return RenderErrorResponse(req.op, e.what(), kExitIoError);
+  for (PendingRequest* p : running_) {
+    cancel_if_due(p);
   }
-  if (code == kExitUsage) {
-    return RenderErrorResponse(
-        req.op, setup_error.empty() ? "request setup failed" : setup_error, kExitUsage);
-  }
-  return RenderResultResponse(req.op, req.scenario, code, req.seeds,
-                              request->seeds_done.load(std::memory_order_relaxed), body);
 }
 
-void ServeDaemon::CompleteRequest(PendingRequest* request, std::string response) {
-  // Drop the request from the daemon's books before flipping `done`: the
-  // moment the connection thread can observe done==true it may return and
-  // destroy the stack-owned *request, so nothing — running_ bookkeeping,
-  // Snapshot(), path release — may touch the pointer after that point.
+std::string ServeDaemon::Execute(PendingRequest* request) {
+  const int workers = std::max(1, opts_.workers);
+  {
+    const MutexLock lock(&mu_);
+    while (queue_.front() != request || static_cast<int>(running_.size()) >= workers) {
+      changed_cv_.Wait(&mu_);
+    }
+    queue_.pop_front();
+    running_.push_back(request);
+  }
+  changed_cv_.NotifyAll();  // the next in line may have a free slot too
+  // Retroactive queue-wait span (admission to slot), then the execute span
+  // proper, both nested in this connection thread's request span.
+  if (obs::TraceEnabled()) {
+    obs::TraceComplete("queue_wait", "serve", request->admitted_wall_s, WallSeconds());
+  }
+  std::string response;
+  {
+    const obs::ScopedSpan execute_span("execute", "serve",
+                                       static_cast<std::int64_t>(request->admit_ordinal));
+    response = RunRequest(request->request, std::max(1, opts_.jobs), &request->stop,
+                          &request->seeds_done);
+  }
   request_latency_.Observe(WallSeconds() - request->admitted_wall_s);
   {
     const MutexLock lock(&mu_);
     running_.erase(std::find(running_.begin(), running_.end(), request));
-    ReleaseRequestPathsLocked(request->request);
+    ReleaseRequestPathsLocked(request->request.campaign);
     ++completed_;
     if (request->stop.load(std::memory_order_acquire)) {
       ++cancelled_;
     }
   }
-  idle_cv_.NotifyAll();
-  {
-    const MutexLock lock(&request->mu);
-    request->done = true;
-    request->response = std::move(response);
-    // Notify while still holding request->mu: the waiter cannot wake from
-    // its timed wait, see done, and destroy the CondVar until this block
-    // releases the mutex — notifying after unlock would race destruction.
-    request->cv.NotifyAll();
-  }
-}
-
-void ServeDaemon::ExecutorLoop() {
-  while (true) {
-    PendingRequest* request = nullptr;
-    {
-      const MutexLock lock(&mu_);
-      while (queue_.empty() && !closed_) {
-        work_cv_.Wait(&mu_);
-      }
-      if (queue_.empty()) {
-        return;  // closed_ after the drain emptied the queue
-      }
-      request = queue_.front();
-      queue_.pop_front();
-      running_.push_back(request);
-    }
-    // Retroactive queue-wait span (admission to pickup), then the execute
-    // span proper, both on this executor's trace track.
-    if (obs::TraceEnabled()) {
-      obs::TraceComplete("queue_wait", "serve", request->admitted_wall_s,
-                         WallSeconds());
-    }
-    std::string response;
-    {
-      const obs::ScopedSpan execute_span(
-          "execute", "serve",
-          static_cast<std::int64_t>(request->admit_ordinal));
-      response = Execute(request);
-    }
-    CompleteRequest(request, std::move(response));
-  }
+  changed_cv_.NotifyAll();
+  return response;
 }
 
 void ServeDaemon::HandleConnection(int fd) {
@@ -492,54 +482,12 @@ void ServeDaemon::HandleConnection(int fd) {
       continue;
     }
 
-    PendingRequest pending(req);
+    PendingRequest pending(req, fd);
     // Connection-side span: admission attempt through response send (sheds
-    // close it immediately; admitted requests hold it across the wait).
+    // close it immediately; admitted requests hold it across the execution).
     const obs::ScopedSpan request_span("request", "serve");
     const std::string immediate = Admit(&pending);
-    if (!immediate.empty()) {
-      alive = SendAll(fd, immediate);
-      continue;
-    }
-    // Admitted: wait for completion, watching this request's deadline and
-    // the client's liveness. The request cannot be abandoned — the queue and
-    // executors hold a pointer onto this stack — so even after a cancel we
-    // wait for the executor to hand back the (partial) response.
-    const double deadline_wall =
-        req.deadline_s > 0.0 ? WallSeconds() + req.deadline_s : 0.0;
-    std::string response;
-    {
-      const MutexLock lock(&pending.mu);
-      while (!pending.done) {
-        pending.cv.WaitFor(&pending.mu, 0.1);
-        if (pending.done) {
-          break;
-        }
-        if (deadline_wall > 0.0 && WallSeconds() >= deadline_wall &&
-            !pending.stop.load(std::memory_order_relaxed)) {
-          pending.stop.store(true, std::memory_order_release);
-          obs::TraceInstantArg(
-              "request_cancel", "serve",
-              static_cast<std::int64_t>(pending.admit_ordinal));
-        }
-        char probe;
-        const ssize_t peeked = recv(fd, &probe, 1, MSG_PEEK | MSG_DONTWAIT);
-        if (peeked == 0 || (peeked < 0 && errno != EAGAIN &&
-                            errno != EWOULDBLOCK && errno != EINTR)) {
-          // Client disconnected — orderly (EOF) or abortive (ECONNRESET et
-          // al.): cancel the request's remaining seeds; the journal (if any)
-          // keeps what already committed.
-          if (!pending.stop.load(std::memory_order_relaxed)) {
-            obs::TraceInstantArg(
-                "request_cancel", "serve",
-                static_cast<std::int64_t>(pending.admit_ordinal));
-          }
-          pending.stop.store(true, std::memory_order_release);
-        }
-      }
-      response = pending.response;
-    }
-    alive = SendAll(fd, response);
+    alive = SendAll(fd, immediate.empty() ? Execute(&pending) : immediate);
   }
   close(fd);
 }

@@ -9,11 +9,17 @@
 //    with structured load-shed responses when either is exceeded — an
 //    overloaded daemon degrades by rejecting crisply, never by dying;
 //  - per-request deadlines and cooperative cancel: a request's `deadline_s`
-//    or its client hanging up flips that request's stop flag, in-flight
-//    seeds drain, and the client gets a valid partial document;
+//    or its client hanging up flips that request's stop flag (noticed by the
+//    accept loop's scan within one 200 ms tick), in-flight seeds drain, and
+//    the client gets a valid partial document;
 //  - graceful whole-daemon drain (SIGTERM/SIGINT or {"op":"shutdown"}):
 //    stop admitting, cancel-and-finish in-flight requests (journaled
 //    requests stay resumable), exit kExitInterrupted.
+//
+// Threads: one accept thread, and one thread per client connection that
+// reads each request line and also runs the request it admits. `workers`
+// bounds how many admitted requests execute at once: a connection thread
+// waits for a slot in admission (FIFO) order.
 //
 // Determinism: a response body is a pure function of the request parameters
 // — byte-identical across the daemon's --jobs, concurrent client count,
@@ -40,7 +46,7 @@ namespace byterobust {
 
 struct ServeOptions {
   std::string socket_path;
-  int workers = 2;          // concurrent requests executing
+  int workers = 2;          // requests executing at once (the rest wait in FIFO order)
   int jobs = 8;             // per-request seed-worker cap (request jobs is clamped)
   int max_queue = 16;       // waiting slots beyond the workers' before shedding
   int max_seeds = 4096;     // per-request seed cap
@@ -54,8 +60,8 @@ class ServeDaemon {
   ServeDaemon(const ServeDaemon&) = delete;
   ServeDaemon& operator=(const ServeDaemon&) = delete;
 
-  // Binds the socket and spawns the accept + executor threads. False +
-  // *error if the socket cannot be bound.
+  // Binds the socket and spawns the accept thread. False + *error if the
+  // socket cannot be bound.
   bool Start(std::string* error);
 
   // Flips draining: admission stops (new campaign requests get a draining
@@ -76,45 +82,47 @@ class ServeDaemon {
   ServeStatus Snapshot() const;
 
  private:
-  // One admitted campaign/fleet request, owned by its connection thread's
-  // stack; the queue and executors only borrow the pointer, and the
-  // connection thread cannot return before `done` flips.
+  // One admitted campaign/fleet request, owned by the stack of the connection
+  // thread that parsed and runs it. queue_/running_ hold the pointer only
+  // while that thread is inside Execute(), and the accept loop's cancel scan
+  // reads it under mu_.
   struct PendingRequest {
-    explicit PendingRequest(const ServeRequest& r) : request(r) {}
+    PendingRequest(const ServeRequest& r, int client_fd) : request(r), fd(client_fd) {}
     const ServeRequest request;
+    const int fd;                      // the client, probed for a hang-up
     std::atomic<bool> stop{false};     // engine external_stop for this request
     std::atomic<int> seeds_done{0};
+    double deadline_wall = 0.0;        // > 0: cancel once the wall clock passes it
     // Observability only (never in the response): admission wall time feeds
     // the queue_wait trace span and the request-latency histogram, and the
     // admission ordinal labels this request's trace events.
     double admitted_wall_s = 0.0;
     std::uint64_t admit_ordinal = 0;
-    Mutex mu;
-    CondVar cv;
-    bool done BR_GUARDED_BY(mu) = false;
-    std::string response BR_GUARDED_BY(mu);
   };
 
   void AcceptLoop();
-  void ExecutorLoop();
   void HandleConnection(int fd);
-  // Runs one admitted request on this executor thread and returns its
-  // response line (result, partial result, or error envelope).
+  // Runs one admitted request on the calling connection thread: waits for a
+  // slot in admission order, executes, and takes the request off the
+  // daemon's books. Returns its response line (result, partial result, or
+  // error envelope).
   std::string Execute(PendingRequest* request);
   // Admission decision + enqueue; returns the response to send immediately
-  // (shed/draining), or empty when admitted (caller then waits on *request).
+  // (shed/draining), or empty when admitted (caller then calls Execute).
   std::string Admit(PendingRequest* request);
-  void CompleteRequest(PendingRequest* request, std::string response);
+  // One accept-loop tick: flips the stop flag of every queued or running
+  // request whose deadline passed or whose client hung up.
+  void CancelExpiredRequests();
   void ReapConnections(bool join_all);
   // Journal/resume path reservation: two in-flight requests writing (or one
   // writing while another resumes) the same server-side file would truncate
   // and interleave each other's records, silently corrupting the crash-safe
   // journal. Admission reserves a request's paths; completion releases them.
   // Returns the first already-reserved path, or empty when all are free.
-  std::string FindBusyRequestPathLocked(const ServeRequest& req) const
+  std::string FindBusyRequestPathLocked(const CampaignRequest& req) const
       BR_REQUIRES(mu_);
-  void ReserveRequestPathsLocked(const ServeRequest& req) BR_REQUIRES(mu_);
-  void ReleaseRequestPathsLocked(const ServeRequest& req) BR_REQUIRES(mu_);
+  void ReserveRequestPathsLocked(const CampaignRequest& req) BR_REQUIRES(mu_);
+  void ReleaseRequestPathsLocked(const CampaignRequest& req) BR_REQUIRES(mu_);
 
   const ServeOptions opts_;
   int listen_fd_ = -1;
@@ -124,11 +132,9 @@ class ServeDaemon {
   std::atomic<std::uint64_t> uptime_ticks_{0};
 
   mutable Mutex mu_;
-  CondVar work_cv_;   // executors: queue non-empty or closed
-  CondVar idle_cv_;   // drain: queue and running both empty
+  CondVar changed_cv_;  // queue_ or running_ changed: a slot may be free
   std::deque<PendingRequest*> queue_ BR_GUARDED_BY(mu_);
   std::vector<PendingRequest*> running_ BR_GUARDED_BY(mu_);
-  bool closed_ BR_GUARDED_BY(mu_) = false;  // executors may exit
   std::uint64_t admitted_ BR_GUARDED_BY(mu_) = 0;
   std::uint64_t completed_ BR_GUARDED_BY(mu_) = 0;
   std::uint64_t shed_ BR_GUARDED_BY(mu_) = 0;
@@ -150,7 +156,6 @@ class ServeDaemon {
   std::list<ConnSlot> conns_ BR_GUARDED_BY(conn_mu_);
 
   std::thread accept_thread_;
-  std::vector<std::thread> executors_;
 };
 
 }  // namespace byterobust

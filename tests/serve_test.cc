@@ -1,15 +1,18 @@
 // Campaign-service suite: the serve wire protocol's strict-parse /
 // render / extract contracts, and in-process end-to-end daemon tests —
 // request bodies byte-identical to the CLI engine, admission control
-// (seed cap, queue shed), deadline cancel into a valid partial document,
-// and graceful drain.
+// (seed cap, queue shed), deadline and client hang-up cancels (running or
+// still queued) into valid partial documents, and graceful drain.
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,15 +45,15 @@ TEST(ServeProtocolTest, ParsesSparseAndFullRequests) {
       &req, &error))
       << error;
   EXPECT_EQ(req.op, "campaign");
-  EXPECT_EQ(req.scenario, "quickstart");
-  EXPECT_EQ(req.seeds, 8);
-  EXPECT_EQ(req.base_seed, 7u);
-  EXPECT_DOUBLE_EQ(req.days, 0.25);
-  EXPECT_EQ(req.jobs, 4);
+  EXPECT_EQ(req.campaign.scenario, "quickstart");
+  EXPECT_EQ(req.campaign.seeds, 8);
+  EXPECT_EQ(req.campaign.base_seed, 7u);
+  EXPECT_DOUBLE_EQ(req.campaign.days, 0.25);
+  EXPECT_EQ(req.campaign.jobs, 4);
   EXPECT_DOUBLE_EQ(req.deadline_s, 2.5);
-  EXPECT_EQ(req.journal, "/tmp/j.log");
-  EXPECT_EQ(req.retries, 3);
-  EXPECT_TRUE(req.journal_sync);
+  EXPECT_EQ(req.campaign.journal_path, "/tmp/j.log");
+  EXPECT_EQ(req.campaign.retries, 3);
+  EXPECT_TRUE(req.campaign.journal_sync);
 
   // null means "use the scenario default", same as omitting --days.
   req = ServeRequest();
@@ -58,7 +61,7 @@ TEST(ServeProtocolTest, ParsesSparseAndFullRequests) {
                                 "\"days\":null}",
                                 &req, &error))
       << error;
-  EXPECT_LT(req.days, 0.0);
+  EXPECT_LT(req.campaign.days, 0.0);
 }
 
 TEST(ServeProtocolTest, RejectsMalformedAndHostileRequests) {
@@ -79,6 +82,12 @@ TEST(ServeProtocolTest, RejectsMalformedAndHostileRequests) {
       {"{\"op\":\"campaign\",\"days\":1e300}", "days must be in (0, 36500]"},
       {"{\"op\":\"campaign\",\"days\":1e400}", "days must be in (0, 36500]"},
       {"{\"op\":\"campaign\",\"days\":36500.5}", "days must be in (0, 36500]"},
+      // strtod reads "nan"; NaN fails every range check instead of reaching
+      // an integer cast.
+      {"{\"op\":\"campaign\",\"seeds\":nan}", "seeds must be in [1, 100000]"},
+      {"{\"op\":\"campaign\",\"jobs\":nan}", "jobs must be in [1, 256]"},
+      {"{\"op\":\"campaign\",\"base_seed\":nan}", "base_seed must be in [0, 9e15]"},
+      {"{\"op\":\"campaign\",\"retries\":nan}", "retries must be in [0, 100]"},
       {"{\"op\":\"campaign\",\"deadline_s\":-2}", "deadline_s"},
       {"{\"op\":\"campaign\",\"retries\":101}", "retries"},
       {"{\"op\":\"campaign\",\"bogus\":1}", "unknown request field 'bogus'"},
@@ -379,6 +388,95 @@ TEST_F(ServeDaemonTest, ConcurrentRequestsOnOneJournalPathAreRejected) {
   EXPECT_EQ(daemon.Snapshot().shed, 0u);
   EXPECT_EQ(daemon.Drain(), kExitInterrupted);
   std::remove(journal.c_str());
+}
+
+TEST_F(ServeDaemonTest, ClientHangUpCancelsTheRunningRequest) {
+  ServeOptions opts;
+  opts.socket_path = socket_path_;
+  opts.workers = 1;
+  opts.jobs = 1;
+  ServeDaemon daemon(opts);
+  std::string error;
+  ASSERT_TRUE(daemon.Start(&error)) << error;
+
+  // A raw client: send a long request, then hang up without reading.
+  const int fd = socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, socket_path_.c_str(), socket_path_.size());
+  ASSERT_EQ(connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+  const std::string line =
+      "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":256}\n";
+  ASSERT_EQ(send(fd, line.data(), line.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(line.size()));
+  for (int i = 0; i < 200 && daemon.Snapshot().active_requests == 0; ++i) {
+    SleepMs(10.0);
+  }
+  ASSERT_EQ(daemon.Snapshot().active_requests, 1);
+  close(fd);
+
+  // The hang-up is noticed within a supervision tick and the in-flight seed
+  // drains; 256 dense-month seeds would take far longer than this bound.
+  const double give_up = WallSeconds() + 2.0;
+  while (daemon.Snapshot().completed == 0 && WallSeconds() < give_up) {
+    SleepMs(10.0);
+  }
+  const ServeStatus snapshot = daemon.Snapshot();
+  EXPECT_EQ(snapshot.completed, 1u);
+  EXPECT_EQ(snapshot.cancelled, 1u);
+  EXPECT_EQ(snapshot.active_requests, 0);
+
+  // The daemon still answers afterwards.
+  long code = -1;
+  ASSERT_TRUE(ExtractJsonIntField(Roundtrip("{\"op\":\"status\"}"), "exit_code", &code));
+  EXPECT_EQ(code, kExitOk);
+  EXPECT_EQ(daemon.Drain(), kExitInterrupted);
+}
+
+TEST_F(ServeDaemonTest, DeadlineCancelsAQueuedRequest) {
+  ServeOptions opts;
+  opts.socket_path = socket_path_;
+  opts.workers = 1;
+  opts.max_queue = 1;
+  opts.jobs = 1;
+  ServeDaemon daemon(opts);
+  std::string error;
+  ASSERT_TRUE(daemon.Start(&error)) << error;
+
+  std::string long_response;
+  std::thread occupier([this, &long_response] {
+    long_response = Roundtrip(
+        "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":64,"
+        "\"jobs\":1,\"deadline_s\":0.8}");
+  });
+  for (int i = 0; i < 100 && daemon.Snapshot().active_requests == 0; ++i) {
+    SleepMs(10.0);
+  }
+  ASSERT_EQ(daemon.Snapshot().active_requests, 1);
+
+  // The deadline expires while the request waits for the only slot: it runs
+  // no seed once the slot frees, and still answers with a valid document.
+  const std::string queued = Roundtrip(
+      "{\"op\":\"campaign\",\"scenario\":\"quickstart\",\"seeds\":2,"
+      "\"deadline_s\":0.2}");
+  long code = -1;
+  ASSERT_TRUE(ExtractJsonIntField(queued, "exit_code", &code));
+  EXPECT_EQ(code, kExitInterrupted);
+  ASSERT_TRUE(ExtractJsonIntField(queued, "seeds_done", &code));
+  EXPECT_EQ(code, 0);
+  std::string s;
+  ASSERT_TRUE(ExtractJsonStringField(queued, "body", &s));
+  EXPECT_NE(s.find("\"runs\""), std::string::npos);
+
+  occupier.join();
+  ASSERT_TRUE(ExtractJsonIntField(long_response, "exit_code", &code));
+  EXPECT_EQ(code, kExitInterrupted);
+  const ServeStatus snapshot = daemon.Snapshot();
+  EXPECT_EQ(snapshot.completed, 2u);
+  EXPECT_EQ(snapshot.cancelled, 2u);
+  EXPECT_EQ(daemon.Drain(), kExitInterrupted);
 }
 
 TEST_F(ServeDaemonTest, DrainShedsNewRequestsAndExitsInterrupted) {

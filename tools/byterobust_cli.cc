@@ -84,7 +84,8 @@ int Emit(JsonWriter* w, const std::string& out_path) {
 // pool (and the serve supervision loop) polls — in-flight seeds finish, the
 // journal and any partial --stream output are flushed, and the process exits
 // kExitInterrupted. A second signal falls through to the default disposition
-// (immediate kill).
+// (immediate kill). `request` polls no flag, so it keeps the default
+// disposition: a signal ends it at once.
 // ---------------------------------------------------------------------------
 std::atomic<bool> g_signal_stop{false};
 
@@ -95,23 +96,17 @@ void HandleStopSignal(int sig) {
 
 // Options shared by every subcommand (parsed below).
 struct Options {
-  std::string scenario;
-  std::uint64_t seed = 42;
-  int seeds = 4;
-  int jobs = 1;
-  double days = -1.0;  // < 0: use the scenario default
-  bool stream = false;  // campaign/fleet: fully incremental output (--stream)
-  std::string out_path;
-  std::string journal_path;  // --journal: crash-safe manifest of committed seeds
-  std::string resume_path;   // --resume: skip seeds already in this journal
-  int retries = -1;          // --retries; < 0 defers to env/default
-  bool journal_sync = false; // --journal-sync: fdatasync per committed record
+  // --scenario/--preset, --seed/--base-seed, --seeds, --days, --jobs,
+  // --stream, --out, --journal, --resume, --retries and --journal-sync, with
+  // the campaign defaults. `run` reads its scenario, seed and days from here,
+  // `serve` its --jobs cap, and every subcommand its --out.
+  CampaignRequest campaign;
   // Observability side channels (never change output bytes; see src/obs/).
   std::string trace_path;      // --trace: Chrome trace_event JSON span file
   std::string dashboard_path;  // --dashboard: sliding ETTR/MFU series export
   // serve
   std::string socket_path;   // --socket (also used by request)
-  int workers = 2;           // --workers: concurrent requests executing
+  int workers = 2;           // --workers: requests executing at once
   int max_queue = 16;        // --max-queue: waiting slots beyond the workers' (0 = none)
   int max_seeds = 4096;      // --max-seeds: per-request seed cap
   std::string pid_file;      // --pid-file
@@ -195,6 +190,26 @@ bool ParseNumber(const char* flag, const char* text, double* out) {
   return true;
 }
 
+// A number inside `range`; NaN is out of every range.
+bool ParseNumberIn(const char* flag, const char* text, const ExternalRange& range,
+                   double* out) {
+  if (!ParseNumber(flag, text, out)) {
+    return false;
+  }
+  if (!range.Contains(*out)) {
+    std::fprintf(stderr, "error: %s must be in %s\n", flag, range.text);
+    return false;
+  }
+  return true;
+}
+
+// Ranges of the serve and request flags. --wait-s / --timeout-s share the
+// per-seed watchdog's 1e6 s cap (BYTEROBUST_SEED_TIMEOUT_S), which keeps them
+// finite and inside the socket timeout's time_t.
+constexpr ExternalRange kWorkersRange{1.0, 64.0, "[1, 64]"};
+constexpr ExternalRange kMaxQueueRange{0.0, 1024.0, "[0, 1024]"};
+constexpr ExternalRange kClientSecondsRange{0.0, 1e6, "[0, 1e6]"};
+
 // Which flags each subcommand accepts; anything else is rejected so a typo'd
 // or misplaced flag (e.g. `run --seeds 8`) fails loudly instead of being
 // silently ignored.
@@ -226,98 +241,73 @@ bool FlagAllowed(const std::string& command, const std::string& flag) {
 }
 
 bool ParseOptions(const std::string& command, int argc, char** argv, Options* opts) {
+  CampaignRequest& c = opts->campaign;
+  c.command = command;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
+    const char* flag = arg.c_str();
     const bool has_value = i + 1 < argc;
     double value = 0.0;
     if (arg.rfind("--", 0) == 0 && !FlagAllowed(command, arg)) {
-      std::fprintf(stderr, "error: option '%s' is not valid for '%s'\n", arg.c_str(),
+      std::fprintf(stderr, "error: option '%s' is not valid for '%s'\n", flag,
                    command.c_str());
       return false;
     }
     if ((arg == "--preset" || arg == "--scenario") && has_value) {
-      opts->scenario = argv[++i];
+      c.scenario = argv[++i];
     } else if ((arg == "--seed" || arg == "--base-seed") && has_value) {
-      if (!ParseNumber(arg.c_str(), argv[++i], &value)) {
+      if (!ParseNumberIn(flag, argv[++i], kExternalBaseSeed, &value)) {
         return false;
       }
-      if (value < 0.0 || value > 9.0e15) {
-        std::fprintf(stderr, "error: %s must be in [0, 9e15]\n", arg.c_str());
-        return false;
-      }
-      opts->seed = static_cast<std::uint64_t>(value);
+      c.base_seed = static_cast<std::uint64_t>(value);
     } else if (arg == "--seeds" && has_value) {
-      if (!ParseNumber(arg.c_str(), argv[++i], &value)) {
+      if (!ParseNumberIn(flag, argv[++i], kExternalSeeds, &value)) {
         return false;
       }
-      if (value < 1.0 || value > 100000.0) {
-        std::fprintf(stderr, "error: --seeds must be in [1, 100000]\n");
-        return false;
-      }
-      opts->seeds = static_cast<int>(value);
+      c.seeds = static_cast<int>(value);
     } else if (arg == "--jobs" && has_value) {
-      if (!ParseNumber(arg.c_str(), argv[++i], &value)) {
+      if (!ParseNumberIn(flag, argv[++i], kExternalJobs, &value)) {
         return false;
       }
-      if (value < 1.0 || value > 256.0) {
-        std::fprintf(stderr, "error: --jobs must be in [1, 256]\n");
-        return false;
-      }
-      opts->jobs = static_cast<int>(value);
+      c.jobs = static_cast<int>(value);
     } else if (arg == "--days" && has_value) {
-      if (!ParseNumber(arg.c_str(), argv[++i], &value)) {
+      if (!ParseNumber(flag, argv[++i], &value)) {
         return false;
       }
       if (!(value > 0.0 && value <= kMaxExternalDays)) {  // also rejects NaN
         std::fprintf(stderr, "error: --days must be in (0, 36500]\n");
         return false;
       }
-      opts->days = value;
+      c.days = value;
     } else if (arg == "--stream") {
-      opts->stream = true;
+      c.stream = true;
     } else if (arg == "--out" && has_value) {
-      opts->out_path = argv[++i];
+      c.out_path = argv[++i];
     } else if (arg == "--journal" && has_value) {
-      opts->journal_path = argv[++i];
+      c.journal_path = argv[++i];
     } else if (arg == "--resume" && has_value) {
-      opts->resume_path = argv[++i];
+      c.resume_path = argv[++i];
     } else if (arg == "--journal-sync") {
-      opts->journal_sync = true;
+      c.journal_sync = true;
     } else if (arg == "--retries" && has_value) {
-      if (!ParseNumber(arg.c_str(), argv[++i], &value)) {
+      if (!ParseNumberIn(flag, argv[++i], kExternalRetries, &value)) {
         return false;
       }
-      if (value < 0.0 || value > 100.0) {
-        std::fprintf(stderr, "error: --retries must be in [0, 100]\n");
-        return false;
-      }
-      opts->retries = static_cast<int>(value);
+      c.retries = static_cast<int>(value);
     } else if (arg == "--socket" && has_value) {
       opts->socket_path = argv[++i];
     } else if (arg == "--workers" && has_value) {
-      if (!ParseNumber(arg.c_str(), argv[++i], &value)) {
-        return false;
-      }
-      if (value < 1.0 || value > 64.0) {
-        std::fprintf(stderr, "error: --workers must be in [1, 64]\n");
+      if (!ParseNumberIn(flag, argv[++i], kWorkersRange, &value)) {
         return false;
       }
       opts->workers = static_cast<int>(value);
     } else if (arg == "--max-queue" && has_value) {
-      if (!ParseNumber(arg.c_str(), argv[++i], &value)) {
-        return false;
-      }
-      if (value < 0.0 || value > 1024.0) {
-        std::fprintf(stderr, "error: --max-queue must be in [0, 1024]\n");
+      if (!ParseNumberIn(flag, argv[++i], kMaxQueueRange, &value)) {
         return false;
       }
       opts->max_queue = static_cast<int>(value);
     } else if (arg == "--max-seeds" && has_value) {
-      if (!ParseNumber(arg.c_str(), argv[++i], &value)) {
-        return false;
-      }
-      if (value < 1.0 || value > 100000.0) {
-        std::fprintf(stderr, "error: --max-seeds must be in [1, 100000]\n");
+      if (!ParseNumberIn(flag, argv[++i], kExternalSeeds, &value)) {
         return false;
       }
       opts->max_seeds = static_cast<int>(value);
@@ -333,24 +323,17 @@ bool ParseOptions(const std::string& command, int argc, char** argv, Options* op
       opts->body_file = argv[++i];
     } else if (arg == "--raw") {
       opts->raw = true;
-    } else if (arg == "--wait-s" && has_value) {
-      if (!ParseNumber(arg.c_str(), argv[++i], &value) || value < 0.0) {
-        std::fprintf(stderr, "error: --wait-s must be >= 0\n");
+    } else if ((arg == "--wait-s" || arg == "--timeout-s") && has_value) {
+      if (!ParseNumberIn(flag, argv[++i], kClientSecondsRange, &value)) {
         return false;
       }
-      opts->wait_s = value;
-    } else if (arg == "--timeout-s" && has_value) {
-      if (!ParseNumber(arg.c_str(), argv[++i], &value) || value < 0.0) {
-        std::fprintf(stderr, "error: --timeout-s must be >= 0\n");
-        return false;
-      }
-      opts->timeout_s = value;
+      (arg == "--wait-s" ? opts->wait_s : opts->timeout_s) = value;
     } else {
-      std::fprintf(stderr, "error: unknown or incomplete option '%s'\n", arg.c_str());
+      std::fprintf(stderr, "error: unknown or incomplete option '%s'\n", flag);
       return false;
     }
   }
-  if (!opts->journal_path.empty() && !opts->resume_path.empty()) {
+  if (!c.journal_path.empty() && !c.resume_path.empty()) {
     std::fprintf(stderr,
                  "error: --journal and --resume are mutually exclusive "
                  "(--resume already appends to the journal it resumes)\n");
@@ -360,14 +343,15 @@ bool ParseOptions(const std::string& command, int argc, char** argv, Options* op
 }
 
 int CmdRun(const Options& opts) {
-  const ScenarioSpec* spec = FindSpec(opts.scenario);
+  const CampaignRequest& c = opts.campaign;
+  const ScenarioSpec* spec = FindSpec(c.scenario);
   if (spec == nullptr) {
     std::fprintf(stderr, "error: unknown scenario '%s' (try: byterobust list)\n",
-                 opts.scenario.c_str());
+                 c.scenario.c_str());
     return kExitUsage;
   }
-  const double days = opts.days > 0.0 ? opts.days : spec->default_days;
-  const RunResult r = RunOne(*spec, days, opts.seed);
+  const double days = c.days > 0.0 ? c.days : spec->default_days;
+  const RunResult r = RunOne(*spec, days, c.base_seed);
   JsonWriter w;
   w.BeginObject();
   w.Field("tool", "byterobust");
@@ -375,28 +359,15 @@ int CmdRun(const Options& opts) {
   w.Key("result");
   WriteRun(&w, r);
   w.EndObject();
-  return Emit(&w, opts.out_path);
+  return Emit(&w, opts.campaign.out_path);
 }
 
 // campaign / fleet: one shared body, differing only in the registry the
-// request resolves against (src/campaign/scenarios.cc).
-int RunCampaignCommand(const char* command, const Options& opts) {
-  CampaignRequest req;
-  req.command = command;
-  req.scenario = opts.scenario;
-  req.seeds = opts.seeds;
-  req.base_seed = opts.seed;
-  req.days = opts.days;
-  req.jobs = opts.jobs;
-  req.stream = opts.stream;
-  req.out_path = opts.out_path;
-  req.journal_path = opts.journal_path;
-  req.resume_path = opts.resume_path;
-  req.retries = opts.retries;
-  req.journal_sync = opts.journal_sync;
+// request's command resolves against (src/campaign/scenarios.cc).
+int RunCampaignCommand(const Options& opts) {
   CampaignEngineSpec engine;
   std::string error;
-  if (!BuildCampaignEngineSpec(req, &engine, &error)) {
+  if (!BuildCampaignEngineSpec(opts.campaign, &engine, &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return kExitUsage;
   }
@@ -427,7 +398,7 @@ int CmdServe(const Options& opts) {
   ServeOptions sopts;
   sopts.socket_path = opts.socket_path;
   sopts.workers = opts.workers;
-  sopts.jobs = opts.jobs;
+  sopts.jobs = opts.campaign.jobs;
   sopts.max_queue = opts.max_queue;
   sopts.max_seeds = opts.max_seeds;
   ServeDaemon daemon(sopts);
@@ -449,7 +420,7 @@ int CmdServe(const Options& opts) {
   std::fprintf(stderr,
                "note: byterobust serve listening on %s "
                "(workers=%d, jobs<=%d, queue<=%d, seeds<=%d)\n",
-               opts.socket_path.c_str(), std::max(1, opts.workers), opts.jobs,
+               opts.socket_path.c_str(), std::max(1, opts.workers), opts.campaign.jobs,
                opts.max_queue, opts.max_seeds);
   return daemon.RunUntilStopped(&g_signal_stop);
 }
@@ -508,8 +479,9 @@ int CmdRequest(const Options& opts) {
     std::fprintf(stderr, "error: short write on stdout\n");
     return kExitIoError;
   }
-  if (!opts.out_path.empty() && !WriteFile(opts.out_path, text)) {
-    std::fprintf(stderr, "error: could not write %s\n", opts.out_path.c_str());
+  const std::string& out_path = opts.campaign.out_path;
+  if (!out_path.empty() && !WriteFile(out_path, text)) {
+    std::fprintf(stderr, "error: could not write %s\n", out_path.c_str());
     return kExitIoError;
   }
   if (exit_code != kExitOk) {
@@ -550,7 +522,7 @@ int CmdBenchReport(const Options& opts) {
   }
   w.EndArray();
   w.EndObject();
-  return Emit(&w, opts.out_path);
+  return Emit(&w, opts.campaign.out_path);
 }
 
 int CmdList(const Options& opts) {
@@ -580,19 +552,21 @@ int CmdList(const Options& opts) {
   }
   w.EndArray();
   w.EndObject();
-  return Emit(&w, opts.out_path);
+  return Emit(&w, opts.campaign.out_path);
 }
 
 int Main(int argc, char** argv) {
   // A reader hanging up must surface as a short write (checked at every
   // sink), not a SIGPIPE kill mid-campaign; SIGINT/SIGTERM drain gracefully.
   std::signal(SIGPIPE, SIG_IGN);
-  std::signal(SIGINT, HandleStopSignal);
-  std::signal(SIGTERM, HandleStopSignal);
   if (argc < 2) {
     return Usage();
   }
   const std::string command = argv[1];
+  if (command != "request") {
+    std::signal(SIGINT, HandleStopSignal);
+    std::signal(SIGTERM, HandleStopSignal);
+  }
   Options opts;
   if (!ParseOptions(command, argc - 2, argv + 2, &opts)) {
     return Usage();
@@ -609,10 +583,8 @@ int Main(int argc, char** argv) {
   int code = kExitUsage;
   if (command == "run") {
     code = CmdRun(opts);
-  } else if (command == "campaign") {
-    code = RunCampaignCommand("campaign", opts);
-  } else if (command == "fleet") {
-    code = RunCampaignCommand("fleet", opts);
+  } else if (command == "campaign" || command == "fleet") {
+    code = RunCampaignCommand(opts);
   } else if (command == "serve") {
     code = CmdServe(opts);
   } else if (command == "request") {

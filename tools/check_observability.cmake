@@ -18,6 +18,7 @@ file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
 
 get_filename_component(TOOLS_DIR ${CMAKE_SCRIPT_MODE_FILE} DIRECTORY)
+include(${TOOLS_DIR}/serve_daemon.cmake)
 find_program(PYTHON3 python3)
 
 function(validate_trace trace)
@@ -101,12 +102,7 @@ endforeach()
 # Serve: a traced daemon's response body must match the clean CLI --stream
 # reference, and the daemon's drain must close its trace properly.
 set(sock ${WORK_DIR}/serve.sock)
-execute_process(
-    COMMAND bash -c "(\"${CLI}\" serve --socket \"${sock}\" --workers 2 --jobs 8 --trace \"${WORK_DIR}/trace_serve.json\" </dev/null >\"${WORK_DIR}/serve.log\" 2>&1; echo -n $? > \"${WORK_DIR}/serve.exit\") </dev/null >/dev/null 2>&1 &"
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "could not launch traced serve daemon")
-endif()
+serve_start(serve --workers 2 --jobs 8 --trace ${WORK_DIR}/trace_serve.json)
 execute_process(
     COMMAND ${CLI} request --socket ${sock}
         --body "{\"op\":\"campaign\",\"scenario\":\"quickstart\",\"seeds\":3,\"days\":0.1,\"jobs\":8}"
@@ -122,21 +118,5 @@ execute_process(
 if(NOT diff EQUAL 0)
   message(FATAL_ERROR "serve body changed with tracing on")
 endif()
-execute_process(
-    COMMAND ${CLI} request --socket ${sock} --body "{\"op\":\"shutdown\"}" --raw
-        --wait-s 5 --timeout-s 30
-    OUTPUT_QUIET RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "serve shutdown failed: ${rc}")
-endif()
-execute_process(
-    COMMAND bash -c "for i in $(seq 100); do [ -f \"${WORK_DIR}/serve.exit\" ] && exit 0; sleep 0.1; done; exit 1"
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "traced serve daemon did not exit after shutdown")
-endif()
-file(READ ${WORK_DIR}/serve.exit daemon_exit)
-if(NOT daemon_exit STREQUAL "30")
-  message(FATAL_ERROR "traced serve daemon exited '${daemon_exit}', expected 30")
-endif()
+serve_shutdown(serve)
 validate_trace(${WORK_DIR}/trace_serve.json)

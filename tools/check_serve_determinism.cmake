@@ -15,6 +15,8 @@ endforeach()
 
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
+get_filename_component(TOOLS_DIR ${CMAKE_SCRIPT_MODE_FILE} DIRECTORY)
+include(${TOOLS_DIR}/serve_daemon.cmake)
 
 # CLI references (engine direct, --stream layout == serve body layout).
 execute_process(
@@ -37,12 +39,7 @@ set(fleet_req "{\"op\":\"fleet\",\"scenario\":\"fleet-mixed\",\"seeds\":4,\"jobs
 
 foreach(jobs 1 8)
   set(sock ${WORK_DIR}/serve_${jobs}.sock)
-  execute_process(
-      COMMAND bash -c "(\"${CLI}\" serve --socket \"${sock}\" --workers 4 --jobs ${jobs} </dev/null >\"${WORK_DIR}/serve_${jobs}.log\" 2>&1; echo -n $? > \"${WORK_DIR}/serve_${jobs}.exit\") </dev/null >/dev/null 2>&1 &"
-      RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "could not launch serve daemon (--jobs ${jobs})")
-  endif()
+  serve_start(serve_${jobs} --workers 4 --jobs ${jobs})
 
   # Four concurrent clients: 3x the campaign request + 1 fleet request. The
   # first client's --wait-s also covers daemon startup.
@@ -80,23 +77,5 @@ rc=0; for p in $pids; do wait $p || rc=1; done; exit $rc"
         "serve fleet body (--jobs ${jobs}) is not byte-identical to the CLI")
   endif()
 
-  execute_process(
-      COMMAND ${CLI} request --socket ${sock} --body "{\"op\":\"shutdown\"}" --raw
-          --wait-s 5 --timeout-s 30
-      OUTPUT_QUIET RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "shutdown request failed (--jobs ${jobs}): ${rc}")
-  endif()
-  # The daemon drains and records its exit code; give it a bounded window.
-  execute_process(
-      COMMAND bash -c "for i in $(seq 100); do [ -f \"${WORK_DIR}/serve_${jobs}.exit\" ] && exit 0; sleep 0.1; done; exit 1"
-      RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "serve daemon (--jobs ${jobs}) did not exit after shutdown")
-  endif()
-  file(READ ${WORK_DIR}/serve_${jobs}.exit daemon_exit)
-  if(NOT daemon_exit STREQUAL "30")
-    message(FATAL_ERROR
-        "serve daemon (--jobs ${jobs}) exited '${daemon_exit}', expected 30 (graceful drain)")
-  endif()
+  serve_shutdown(serve_${jobs})
 endforeach()

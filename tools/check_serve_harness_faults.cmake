@@ -15,6 +15,8 @@ endforeach()
 
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
+get_filename_component(TOOLS_DIR ${CMAKE_SCRIPT_MODE_FILE} DIRECTORY)
+include(${TOOLS_DIR}/serve_daemon.cmake)
 
 # Same fault spec + scenario as ctest cli_campaign_harness_faults: verified
 # quarantine-free for these seeds, with at least one watchdog cancel/retry.
@@ -29,12 +31,8 @@ if(NOT rc EQUAL 0)
 endif()
 
 set(sock ${WORK_DIR}/serve.sock)
-execute_process(
-    COMMAND bash -c "(BYTEROBUST_HARNESS_FAULTS='${faults}' BYTEROBUST_SEED_TIMEOUT_S=0.5 \"${CLI}\" serve --socket \"${sock}\" --workers 2 --jobs 8 </dev/null >\"${WORK_DIR}/serve.log\" 2>&1; echo -n $? > \"${WORK_DIR}/serve.exit\") </dev/null >/dev/null 2>&1 &"
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "could not launch faulted serve daemon")
-endif()
+serve_start(serve --workers 2 --jobs 8
+    ENV "BYTEROBUST_HARNESS_FAULTS='${faults}' BYTEROBUST_SEED_TIMEOUT_S=0.5")
 
 set(req "{\"op\":\"campaign\",\"scenario\":\"dense\",\"seeds\":6,\"days\":0.3,\"jobs\":8,\"retries\":8}")
 execute_process(
@@ -61,21 +59,4 @@ foreach(i 1 2)
   endif()
 endforeach()
 
-execute_process(
-    COMMAND ${CLI} request --socket ${sock} --body "{\"op\":\"shutdown\"}" --raw
-        --wait-s 5 --timeout-s 30
-    OUTPUT_QUIET RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "shutdown request failed: ${rc}")
-endif()
-execute_process(
-    COMMAND bash -c "for i in $(seq 100); do [ -f \"${WORK_DIR}/serve.exit\" ] && exit 0; sleep 0.1; done; exit 1"
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "faulted serve daemon did not exit after shutdown")
-endif()
-file(READ ${WORK_DIR}/serve.exit daemon_exit)
-if(NOT daemon_exit STREQUAL "30")
-  message(FATAL_ERROR
-      "faulted serve daemon exited '${daemon_exit}', expected 30 (graceful drain)")
-endif()
+serve_shutdown(serve)

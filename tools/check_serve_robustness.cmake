@@ -22,6 +22,8 @@ endforeach()
 
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
+get_filename_component(TOOLS_DIR ${CMAKE_SCRIPT_MODE_FILE} DIRECTORY)
+include(${TOOLS_DIR}/serve_daemon.cmake)
 
 # ---------------------------------------------------------------------------
 # 1. Admission control under a pinned worker.
@@ -30,12 +32,8 @@ set(sock_a ${WORK_DIR}/serve_a.sock)
 # hang:1.0 pins every seed until the 5s watchdog; "retries":0 quarantines it.
 # The occupier therefore holds the only in-system slot for ~5s — a stable
 # window to probe admission — and then completes as a quarantined response.
-execute_process(
-    COMMAND bash -c "(BYTEROBUST_HARNESS_FAULTS='hang:1.0' BYTEROBUST_SEED_TIMEOUT_S=5 \"${CLI}\" serve --socket \"${sock_a}\" --workers 1 --jobs 1 --max-queue 0 --max-seeds 8 </dev/null >\"${WORK_DIR}/serve_a.log\" 2>&1; echo -n $? > \"${WORK_DIR}/serve_a.exit\") </dev/null >/dev/null 2>&1 &"
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "could not launch admission daemon")
-endif()
+serve_start(serve_a --workers 1 --jobs 1 --max-queue 0 --max-seeds 8
+    ENV "BYTEROBUST_HARNESS_FAULTS='hang:1.0' BYTEROBUST_SEED_TIMEOUT_S=5")
 
 execute_process(
     COMMAND ${CLI} request --socket ${sock_a}
@@ -76,25 +74,14 @@ if(NOT occupier_response MATCHES "failed_runs")
       "occupier (quarantined) response lacks failed_runs: ${occupier_response}")
 endif()
 
-execute_process(
-    COMMAND ${CLI} request --socket ${sock_a} --body "{\"op\":\"shutdown\"}" --raw
-        --wait-s 5 --timeout-s 30
-    OUTPUT_QUIET RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "admission daemon shutdown failed: ${rc}")
-endif()
+serve_shutdown(serve_a)
 
 # ---------------------------------------------------------------------------
 # 2 + 3. Deadlines, SIGTERM drain, journal resume.
 # ---------------------------------------------------------------------------
 set(sock_b ${WORK_DIR}/serve_b.sock)
 set(journal ${WORK_DIR}/request.journal)
-execute_process(
-    COMMAND bash -c "(\"${CLI}\" serve --socket \"${sock_b}\" --workers 1 --jobs 1 --pid-file \"${WORK_DIR}/serve_b.pid\" </dev/null >\"${WORK_DIR}/serve_b.log\" 2>&1; echo -n $? > \"${WORK_DIR}/serve_b.exit\") </dev/null >/dev/null 2>&1 &"
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "could not launch drain daemon")
-endif()
+serve_start(serve_b --workers 1 --jobs 1)
 
 execute_process(
     COMMAND ${CLI} request --socket ${sock_b}
@@ -126,16 +113,7 @@ if(NOT rc EQUAL 0)
   file(READ ${WORK_DIR}/drain.txt drain)
   message(FATAL_ERROR "journaled client failed across the drain: ${drain}")
 endif()
-execute_process(
-    COMMAND bash -c "for i in $(seq 100); do [ -f \"${WORK_DIR}/serve_b.exit\" ] && exit 0; sleep 0.1; done; exit 1"
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "drain daemon did not exit after SIGTERM")
-endif()
-file(READ ${WORK_DIR}/serve_b.exit daemon_exit)
-if(NOT daemon_exit STREQUAL "30")
-  message(FATAL_ERROR "SIGTERM'd daemon exited '${daemon_exit}', expected 30")
-endif()
+serve_await_exit(serve_b)
 
 # Restarted daemon resumes the journal; the merged body must be byte-identical
 # to a straight CLI run of the same campaign.
@@ -147,12 +125,7 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "resume reference campaign failed: ${rc}")
 endif()
 set(sock_c ${WORK_DIR}/serve_c.sock)
-execute_process(
-    COMMAND bash -c "(\"${CLI}\" serve --socket \"${sock_c}\" --workers 1 --jobs 1 </dev/null >\"${WORK_DIR}/serve_c.log\" 2>&1; echo -n $? > \"${WORK_DIR}/serve_c.exit\") </dev/null >/dev/null 2>&1 &"
-    RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "could not launch resume daemon")
-endif()
+serve_start(serve_c --workers 1 --jobs 1)
 execute_process(
     COMMAND ${CLI} request --socket ${sock_c}
         --body "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":24,\"jobs\":1,\"resume\":\"${journal}\"}"
@@ -169,10 +142,4 @@ if(NOT diff EQUAL 0)
   message(FATAL_ERROR
       "resumed serve body is not byte-identical to the straight CLI run")
 endif()
-execute_process(
-    COMMAND ${CLI} request --socket ${sock_c} --body "{\"op\":\"shutdown\"}" --raw
-        --wait-s 5 --timeout-s 30
-    OUTPUT_QUIET RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "resume daemon shutdown failed: ${rc}")
-endif()
+serve_shutdown(serve_c)
