@@ -64,9 +64,11 @@ class TraceWriter {
 
   void Close() {
     // Counter footer: final metrics registry values as chrome "C" events, so
-    // a trace carries its run's harness/campaign counters. Snapshot before
-    // taking mu_ (the registry has its own lock; no nesting).
+    // a trace carries its run's harness/campaign counters, then the process's
+    // peak RSS. Snapshot before taking mu_ (the registry has its own lock; no
+    // nesting).
     const MetricsSnapshot snap = GlobalMetrics().Snap();
+    const std::uint64_t peak_rss_kb = PeakRssKb();
     const double now = WallSeconds();
     {
       const MutexLock lock(&mu_);
@@ -75,12 +77,9 @@ class TraceWriter {
       }
       trace_internal::g_trace_enabled.store(false, std::memory_order_relaxed);
       for (const auto& [name, value] : snap.counters) {
-        std::fprintf(file_,
-                     "{\"ph\":\"C\",\"ts\":%" PRIu64
-                     ",\"pid\":%d,\"tid\":0,\"name\":\"%s\","
-                     "\"args\":{\"v\":%" PRIu64 "}},\n",
-                     TsLocked(now), pid_, name.c_str(), value);
+        CounterLocked(now, name.c_str(), value);
       }
+      CounterLocked(now, "process.peak_rss_kb", peak_rss_kb);
       // Footer event carries no trailing comma, closing the JSON array.
       std::fprintf(file_,
                    "{\"ph\":\"M\",\"ts\":%" PRIu64
@@ -101,6 +100,15 @@ class TraceWriter {
   }
 
  private:
+  void CounterLocked(double wall_s, const char* name, std::uint64_t value)
+      BR_REQUIRES(mu_) {
+    std::fprintf(file_,
+                 "{\"ph\":\"C\",\"ts\":%" PRIu64
+                 ",\"pid\":%d,\"tid\":0,\"name\":\"%s\","
+                 "\"args\":{\"v\":%" PRIu64 "}},\n",
+                 TsLocked(wall_s), pid_, name, value);
+  }
+
   void EmitLocked(const char* ph, const char* name, const char* cat,
                   double start_s, double end_s, bool has_arg,
                   std::int64_t arg) BR_REQUIRES(mu_) {
@@ -163,6 +171,22 @@ bool StartTrace(const std::string& path, std::string* error) {
 }
 
 void StopTrace() { Writer().Close(); }
+
+std::uint64_t PeakRssKb() {
+  std::FILE* status = std::fopen("/proc/self/status", "r");
+  if (status == nullptr) {
+    return 0;
+  }
+  std::uint64_t kb = 0;
+  char line[256];
+  while (std::fgets(line, sizeof line, status) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %" SCNu64, &kb) == 1) {
+      break;
+    }
+  }
+  std::fclose(status);
+  return kb;
+}
 
 void TraceComplete(const char* name, const char* cat, double start_s,
                    double end_s) {

@@ -56,8 +56,16 @@ inline bool TraceEnabled() {
 bool StartTrace(const std::string& path, std::string* error);
 
 // Writes counter footer events + the closing "]" and closes the file.
-// Idempotent; safe if no trace is running.
+// Idempotent; safe if no trace is running. The footer ends with one
+// "process.peak_rss_kb" counter (PeakRssKb() at close) that lives only in
+// the trace: it differs run to run, so it stays out of the metrics registry
+// and the dashboard, which are compared byte for byte.
 void StopTrace();
+
+// This process's peak resident set size in KiB: VmHWM from
+// /proc/self/status, or 0 where that file is unavailable. Unlike
+// getrusage(RUSAGE_CHILDREN) in a parent, it is not inherited across exec.
+std::uint64_t PeakRssKb();
 
 // Emits a complete ("X" phase) event covering [start_s, end_s] on the
 // calling thread's track — for retroactively-known intervals such as a

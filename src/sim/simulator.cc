@@ -1,25 +1,11 @@
 #include "src/sim/simulator.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
 #include "src/common/log.h"
 
 namespace byterobust {
-
-namespace {
-
-// splitmix64: cheap, well-mixed hash for timestamps (which are often highly
-// regular — step boundaries, scrape cadences).
-std::uint64_t HashTime(SimTime t) {
-  std::uint64_t x = static_cast<std::uint64_t>(t) + 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 Simulator::Simulator() { SetLogClock(&now_); }
 
@@ -36,15 +22,14 @@ EventId Simulator::ScheduleAt(SimTime when, std::function<void()> fn) {
   if (when < now_) {
     throw std::invalid_argument("ScheduleAt in the past");
   }
-  const std::uint32_t bucket_index = MapFindOrInsert(when);
   const std::uint32_t slot = AllocateNode();
   EventNode& node = NodeAt(slot);
   node.fn = std::move(fn);
   node.active = true;
   node.cancelled = false;
   node.next = kNullIndex;
-  Bucket& bucket = buckets_[bucket_index];
-  if (bucket.tail == kNullIndex) {
+  Bucket& bucket = BucketAt(when);
+  if (bucket.head == kNullIndex) {
     bucket.head = slot;
   } else {
     NodeAt(bucket.tail).next = slot;
@@ -97,135 +82,24 @@ void Simulator::FreeNode(std::uint32_t slot) {
   free_node_ = slot;
 }
 
-std::uint32_t Simulator::AllocateBucket(SimTime time) {
-  std::uint32_t index;
-  if (free_bucket_ != kNullIndex) {
-    index = free_bucket_;
-    free_bucket_ = buckets_[index].next_free;
-  } else {
-    buckets_.emplace_back();
-    index = static_cast<std::uint32_t>(buckets_.size() - 1);
+Simulator::Bucket& Simulator::BucketAt(SimTime when) {
+  const auto next = buckets_.lower_bound(when);
+  if (next != buckets_.end() && next->first == when) {
+    return next->second;
   }
-  Bucket& bucket = buckets_[index];
-  bucket.time = time;
-  bucket.head = kNullIndex;
-  bucket.tail = kNullIndex;
-  return index;
+  if (spare_buckets_.empty()) {
+    return buckets_.emplace_hint(next, when, Bucket{})->second;
+  }
+  BucketMap::node_type spare = std::move(spare_buckets_.back());
+  spare_buckets_.pop_back();
+  spare.key() = when;  // drained, so its chain is already empty
+  return buckets_.insert(next, std::move(spare))->second;
 }
 
-void Simulator::FreeBucket(std::uint32_t index) {
-  buckets_[index].next_free = free_bucket_;
-  free_bucket_ = index;
-}
-
-void Simulator::HeapPush(HeapEntry entry) {
-  heap_.push_back(entry);
-  std::size_t i = heap_.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (heap_[parent].time <= entry.time) {
-      break;
-    }
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = entry;
-}
-
-void Simulator::HeapPopRoot() {
-  const HeapEntry moved = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n == 0) {
-    return;
-  }
-  std::size_t i = 0;
-  while (true) {
-    const std::size_t first = 4 * i + 1;
-    if (first >= n) {
-      break;
-    }
-    std::size_t best = first;
-    const std::size_t last = std::min(first + 4, n);
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (heap_[c].time < heap_[best].time) {
-        best = c;
-      }
-    }
-    if (heap_[best].time >= moved.time) {
-      break;
-    }
-    heap_[i] = heap_[best];
-    i = best;
-  }
-  heap_[i] = moved;
-}
-
-void Simulator::MapGrow() {
-  const std::size_t new_size = map_.empty() ? 64 : map_.size() * 2;
-  std::vector<MapSlot> old = std::move(map_);
-  map_.assign(new_size, MapSlot{});
-  map_used_ = 0;
-  const std::size_t mask = new_size - 1;
-  for (const MapSlot& slot : old) {
-    if (slot.bucket == kNullIndex) {
-      continue;
-    }
-    std::size_t i = HashTime(slot.time) & mask;
-    while (map_[i].bucket != kNullIndex) {
-      i = (i + 1) & mask;
-    }
-    map_[i] = slot;
-    ++map_used_;
-  }
-}
-
-std::uint32_t Simulator::MapFindOrInsert(SimTime time) {
-  if ((map_used_ + 1) * 2 > map_.size()) {
-    MapGrow();  // keep load factor <= 1/2 so probes stay short
-  }
-  const std::size_t mask = map_.size() - 1;
-  std::size_t i = HashTime(time) & mask;
-  while (map_[i].bucket != kNullIndex) {
-    if (map_[i].time == time) {
-      return map_[i].bucket;
-    }
-    i = (i + 1) & mask;
-  }
-  const std::uint32_t bucket = AllocateBucket(time);
-  map_[i] = MapSlot{time, bucket};
-  ++map_used_;
-  HeapPush(HeapEntry{time, bucket});
-  return bucket;
-}
-
-void Simulator::MapErase(SimTime time) {
-  const std::size_t mask = map_.size() - 1;
-  std::size_t i = HashTime(time) & mask;
-  while (map_[i].bucket == kNullIndex || map_[i].time != time) {
-    i = (i + 1) & mask;
-  }
-  // Backward-shift deletion keeps probe chains intact without tombstones.
-  std::size_t j = i;
-  while (true) {
-    j = (j + 1) & mask;
-    if (map_[j].bucket == kNullIndex) {
-      break;
-    }
-    const std::size_t home = HashTime(map_[j].time) & mask;
-    if (((j - home) & mask) >= ((j - i) & mask)) {
-      map_[i] = map_[j];
-      i = j;
-    }
-  }
-  map_[i] = MapSlot{};
-  --map_used_;
-}
-
-std::uint32_t Simulator::LiveHeadBucket() {
-  while (!heap_.empty()) {
-    const std::uint32_t bucket_index = heap_.front().bucket;
-    Bucket& bucket = buckets_[bucket_index];
+Simulator::BucketMap::iterator Simulator::LiveHead() {
+  while (!buckets_.empty()) {
+    const auto earliest = buckets_.begin();
+    Bucket& bucket = earliest->second;
     while (bucket.head != kNullIndex && NodeAt(bucket.head).cancelled) {
       const std::uint32_t slot = bucket.head;
       bucket.head = NodeAt(slot).next;
@@ -233,42 +107,36 @@ std::uint32_t Simulator::LiveHeadBucket() {
       --queued_;
     }
     if (bucket.head != kNullIndex) {
-      return bucket_index;
+      return earliest;
     }
-    bucket.tail = kNullIndex;
-    MapErase(bucket.time);
-    FreeBucket(bucket_index);
-    HeapPopRoot();
+    spare_buckets_.push_back(buckets_.extract(earliest));
   }
-  return kNullIndex;
+  return buckets_.end();
 }
 
 bool Simulator::DispatchNext() {
-  const std::uint32_t bucket_index = LiveHeadBucket();
-  if (bucket_index == kNullIndex) {
+  const auto head = LiveHead();
+  if (head == buckets_.end()) {
     return false;
   }
-  Bucket& bucket = buckets_[bucket_index];
-  now_ = bucket.time;
+  now_ = head->first;
+  Bucket& bucket = head->second;
   const std::uint32_t slot = bucket.head;
   bucket.head = NodeAt(slot).next;
-  if (bucket.head == kNullIndex) {
-    bucket.tail = kNullIndex;
-  }
   std::function<void()> fn = std::move(NodeAt(slot).fn);
   FreeNode(slot);
   --queued_;
   --live_;
   ++dispatched_;
   // No slab/bucket references may be held across the callback: it is free to
-  // schedule (and thus reallocate) arbitrarily.
+  // schedule (growing the slab) and its bucket may be reclaimed afterwards.
   fn();
   return true;
 }
 
 SimTime Simulator::NextEventTime() {
-  const std::uint32_t bucket_index = LiveHeadBucket();
-  return bucket_index == kNullIndex ? kNoPendingEvent : buckets_[bucket_index].time;
+  const auto head = LiveHead();
+  return head == buckets_.end() ? kNoPendingEvent : head->first;
 }
 
 void Simulator::AdvanceTo(SimTime when) {
@@ -294,12 +162,7 @@ void Simulator::RunUntil(SimTime deadline) {
   stopped_ = false;
   const SimTime saved_horizon = horizon_;
   horizon_ = deadline;
-  while (!stopped_) {
-    const std::uint32_t bucket_index = LiveHeadBucket();
-    if (bucket_index == kNullIndex || buckets_[bucket_index].time > deadline) {
-      break;
-    }
-    DispatchNext();
+  while (!stopped_ && NextEventTime() <= deadline && DispatchNext()) {
   }
   horizon_ = saved_horizon;
   if (now_ < deadline) {

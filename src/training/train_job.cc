@@ -133,7 +133,7 @@ void TrainJob::CompleteStep() {
   // Batched execution: while the job stays healthy, run every whole step that
   // ends strictly before the next pending simulator event (and within the run
   // horizon) inline, advancing the clock directly instead of paying one
-  // closure + heap round-trip per step. Strict inequality preserves dispatch
+  // closure + queue round-trip per step. Strict inequality preserves dispatch
   // semantics exactly: a step ending *at* the next event's timestamp goes
   // through the scheduler, so (time, schedule order) ties resolve as before.
   // Observers run at the step's own end time (the clock is advanced first)

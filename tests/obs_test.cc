@@ -285,6 +285,27 @@ TEST(ObsTraceTest, EveryEventLineEndsWithCommaUntilFooter) {
   EXPECT_NE(footer.find("trace_end"), std::string::npos);
 }
 
+// Calibrates the peak-RSS probe that tools/perf_smoke.py gates memory on:
+// faulting in a known 32 MB block must raise the reading by at least 30 MB,
+// and the trace footer must carry the reading. A probe that reads the wrong
+// field, the wrong process or nothing fails here instead of passing every
+// RSS gate unmeasured.
+TEST(ObsTraceTest, PeakRssProbeSeesAKnownAllocation) {
+  const std::uint64_t before_kb = obs::PeakRssKb();
+  ASSERT_GT(before_kb, 0u);
+  std::vector<unsigned char> block(32u << 20);
+  std::fill(block.begin(), block.end(), 1);  // touch every page
+  asm volatile("" : : "r"(block.data()) : "memory");
+  EXPECT_GE(obs::PeakRssKb(), before_kb + 30u * 1024u);
+
+  const std::string path = ::testing::TempDir() + "/obs_trace_rss.json";
+  std::string error;
+  ASSERT_TRUE(obs::StartTrace(path, &error)) << error;
+  obs::StopTrace();
+  EXPECT_NE(ReadAll(path).find("\"name\":\"process.peak_rss_kb\""),
+            std::string::npos);
+}
+
 TEST(ObsTraceTest, StopTraceIsIdempotentAndDisabledSpansAreFree) {
   obs::StopTrace();  // no trace running: must be a safe no-op
   ASSERT_FALSE(obs::TraceEnabled());

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <map>
+#include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/sim/simulator.h"
 
 namespace byterobust {
@@ -299,8 +305,8 @@ TEST(SimulatorTest, StopRequestVisibleInsideHandler) {
 TEST(SimulatorTest, ManyDistinctTimestampsDispatchInTimeOrder) {
   Simulator sim;
   std::vector<SimTime> times;
-  // A deterministic shuffle of distinct timestamps exercises the bucket
-  // heap + hash table (every event creates and drains its own bucket).
+  // A deterministic shuffle of distinct timestamps exercises the ordered
+  // timestamp map (every event creates and drains its own bucket).
   for (int i = 0; i < 1000; ++i) {
     const SimTime t = Seconds((i * 613) % 1000);
     sim.ScheduleAt(t, [&times, &sim] { times.push_back(sim.Now()); });
@@ -311,6 +317,173 @@ TEST(SimulatorTest, ManyDistinctTimestampsDispatchInTimeOrder) {
     EXPECT_LT(times[i - 1], times[i]);
   }
   EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+// Differential test: a seeded random mix of operations runs against the
+// simulator and against a reference model — a std::multimap keyed by
+// (time, schedule sequence) whose entries stay in place as tombstones when
+// cancelled and are reclaimed only from the front, exactly when the
+// simulator looks for its next live event. Dispatch order, Now(),
+// pending_events() and cancelled_pending() must agree after every operation.
+class SimulatorDifferential {
+ public:
+  explicit SimulatorDifferential(std::uint64_t seed) : rng_(seed) {}
+
+  void RunOps(int ops) {
+    for (int op = 0; op < ops; ++op) {
+      const std::int64_t pick = rng_.UniformInt(0, 99);
+      // Lean towards dispatching once many events are pending, so the model
+      // stays small and the mix keeps reaching the drained-queue edge.
+      const bool crowded = model_.size() > 48;
+      if (pick < (crowded ? 20 : 45)) {
+        ScheduleSomewhere();
+      } else if (pick < (crowded ? 35 : 60)) {
+        CancelSomething();
+      } else if (pick < 75) {
+        const bool expect = HasLive();
+        EXPECT_EQ(sim_.Step(), expect);
+      } else if (pick < 88) {
+        const SimTime deadline = model_now_ + rng_.UniformInt(0, 40);
+        sim_.RunUntil(deadline);
+        EXPECT_LT(deadline, ModelNextTime()) << "RunUntil left due work pending";
+        model_now_ = std::max(model_now_, deadline);
+      } else if (pick < 94) {
+        const SimTime next = ModelNextTime();
+        const SimTime limit = next == Simulator::kNoPendingEvent ? model_now_ + 50 : next;
+        const SimTime when = rng_.UniformInt(model_now_, limit);
+        sim_.AdvanceTo(when);
+        model_now_ = when;
+      } else {
+        EXPECT_EQ(sim_.NextEventTime(), ModelNextTime());
+      }
+      CheckCounters();
+      if (::testing::Test::HasFailure()) {
+        ADD_FAILURE() << "diverged at operation " << op;
+        return;
+      }
+    }
+    sim_.Run();
+    EXPECT_FALSE(HasLive());
+    CheckCounters();
+  }
+
+  std::uint64_t dispatched() const { return dispatched_; }
+
+ private:
+  using Key = std::pair<SimTime, std::uint64_t>;  // (time, schedule seq)
+  struct Entry {
+    EventId id;
+    std::uint64_t tag;
+    bool spawns;  // its handler schedules one more event at Now()
+    bool cancelled = false;
+  };
+
+  void ScheduleSomewhere() {
+    const std::int64_t kind = rng_.UniformInt(0, 2);
+    SimTime when = model_now_;
+    if (kind == 1 && !model_.empty()) {
+      // A timestamp that already has a bucket.
+      when = std::next(model_.begin(), rng_.UniformInt(0, static_cast<std::int64_t>(model_.size()) - 1))->first.first;
+    } else if (kind == 2) {
+      // A timestamp nothing is pending at.
+      do {
+        when = model_now_ + rng_.UniformInt(1, 200);
+      } while (PendingAt(when));
+    }
+    ScheduleAt(when, rng_.Bernoulli(0.2));
+  }
+
+  void ScheduleAt(SimTime when, bool spawns) {
+    const std::uint64_t tag = next_tag_++;
+    const EventId id = sim_.ScheduleAt(when, [this, tag] { OnDispatch(tag); });
+    model_.emplace(Key{when, next_seq_++}, Entry{id, tag, spawns});
+    live_.emplace(id, Key{when, next_seq_ - 1});
+  }
+
+  void OnDispatch(std::uint64_t tag) {
+    Reclaim();
+    ASSERT_FALSE(model_.empty()) << "dispatched tag " << tag << " from an empty model";
+    const auto front = model_.begin();
+    ASSERT_EQ(front->second.tag, tag) << "dispatch order diverged";
+    ASSERT_EQ(sim_.Now(), front->first.first);
+    const Entry entry = front->second;
+    model_now_ = front->first.first;
+    live_.erase(entry.id);
+    retired_.push_back(entry.id);
+    model_.erase(front);
+    ++dispatched_;
+    EXPECT_EQ(sim_.pending_events(), model_.size());
+    if (entry.spawns) {
+      ScheduleAt(model_now_, /*spawns=*/false);
+    }
+  }
+
+  void CancelSomething() {
+    EventId id = kInvalidEventId;
+    bool expect = false;
+    if (!live_.empty() && rng_.Bernoulli(0.6)) {
+      id = std::next(live_.begin(), rng_.UniformInt(0, static_cast<std::int64_t>(live_.size()) - 1))->first;
+      expect = true;
+    } else if (!retired_.empty()) {
+      // Dispatched, cancelled, or stale after its slot was recycled.
+      id = retired_[static_cast<std::size_t>(rng_.UniformInt(0, static_cast<std::int64_t>(retired_.size()) - 1))];
+    }
+    EXPECT_EQ(sim_.Cancel(id), expect);
+    if (expect) {
+      model_.find(live_.at(id))->second.cancelled = true;
+      live_.erase(id);
+      retired_.push_back(id);
+    }
+  }
+
+  // Drops tombstones from the front, as the simulator does whenever it
+  // looks for its next live event.
+  void Reclaim() {
+    while (!model_.empty() && model_.begin()->second.cancelled) {
+      model_.erase(model_.begin());
+    }
+  }
+
+  SimTime ModelNextTime() {
+    Reclaim();
+    return model_.empty() ? Simulator::kNoPendingEvent : model_.begin()->first.first;
+  }
+
+  bool HasLive() { return ModelNextTime() != Simulator::kNoPendingEvent; }
+
+  bool PendingAt(SimTime when) const {
+    const auto it = model_.lower_bound(Key{when, 0});
+    return it != model_.end() && it->first.first == when;
+  }
+
+  void CheckCounters() const {
+    EXPECT_EQ(sim_.Now(), model_now_);
+    EXPECT_EQ(sim_.pending_events(), model_.size());
+    std::size_t cancelled = 0;
+    for (const auto& [key, entry] : model_) {
+      cancelled += entry.cancelled ? 1 : 0;
+    }
+    EXPECT_EQ(sim_.cancelled_pending(), cancelled);
+  }
+
+  Rng rng_;
+  Simulator sim_;
+  std::multimap<Key, Entry> model_;
+  std::map<EventId, Key> live_;
+  std::vector<EventId> retired_;
+  SimTime model_now_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t next_tag_ = 0;
+  std::uint64_t dispatched_ = 0;
+};
+
+TEST(SimulatorTest, RandomOperationsMatchMultimapReference) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    SimulatorDifferential diff(seed);
+    diff.RunOps(5000);
+    EXPECT_GT(diff.dispatched(), 1000u);
+  }
 }
 
 }  // namespace

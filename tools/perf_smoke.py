@@ -20,14 +20,15 @@ Benchmark selection, in priority order: names given on the command line; the
 baseline's "gated" list (so the set of gated benchmarks is versioned next to
 the numbers themselves); otherwise every benchmark present in both files.
 
-With --cli, the baseline's RSS gates are also enforced: the given byterobust
-binary runs each recorded streaming-campaign command ("rss_gates" list, or
-the legacy single "rss_gate" object) and the child's peak RSS must stay under
-that gate's max_rss_mb. This is what keeps campaign memory O(window) — an
+With --cli, the baseline's "rss_gates" are also enforced: the given
+byterobust binary runs each recorded streaming-campaign command with
+--trace, and the CLI's own peak RSS must stay under that gate's max_rss_mb.
+The CLI measures itself: its trace footer carries VmHWM from
+/proc/self/status as the "process.peak_rss_kb" counter. (The parent's
+RUSAGE_CHILDREN high-water would not do: exec carries this script's own
+peak into the child's.) This is what keeps campaign memory O(window) — an
 accidental return to O(steps) metric growth or O(seeds) run buffering trips
-it just like a speed regression. Gates must be ordered by ascending
-max_rss_mb: ru_maxrss is a monotone high-water across children, so a larger
-earlier peak would mask a later gate's measurement.
+it just like a speed regression.
 
 --cli also enforces the baseline's "cpu_scaling_gates": each runs one
 command at two --jobs values and compares the user+sys CPU the child
@@ -48,11 +49,14 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 
 _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 # Host noise only ever adds CPU, so the cheapest of a few runs is the
 # steadiest reading of each side of a CPU-scaling gate.
 CPU_GATE_REPEATS = 3
+# Trace-footer counter holding the CLI's peak RSS (VmHWM) in KiB.
+PEAK_RSS_COUNTER = "process.peak_rss_kb"
 
 
 def load_report(path):
@@ -71,24 +75,23 @@ def load_report(path):
 
 
 def check_rss_gate(cli, gate):
-    """Runs the gated campaign command and checks the child's peak RSS."""
+    """Runs the gated campaign command and checks the CLI's own peak RSS."""
     cmd = [cli] + gate["args"]
     limit_mb = gate["max_rss_mb"]
-    # ru_maxrss is KiB on Linux but bytes on macOS.
-    rss_per_mb = 1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0
-    # ru_maxrss is a monotone high-water over all reaped children, so a prior
-    # child bigger than the limit would mask the CLI's actual peak — refuse
-    # to measure through that.
-    before_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / rss_per_mb
-    if before_mb > limit_mb:
-        print(f"rss gate: a prior subprocess already peaked at {before_mb:.1f} MB "
-              f"(> limit {limit_mb:.1f} MB); measurement would be masked", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = os.path.join(tmp, "trace.json")
+        proc = subprocess.run(cmd + ["--trace", trace], stdout=subprocess.DEVNULL)
+        if proc.returncode != 0:
+            print(f"rss gate: {' '.join(cmd)} exited {proc.returncode}", file=sys.stderr)
+            return False
+        with open(trace) as f:
+            peaks_kb = [event["args"]["v"] for event in json.load(f)
+                        if event.get("name") == PEAK_RSS_COUNTER]
+    if not peaks_kb or peaks_kb[0] <= 0:
+        print(f"rss gate: {' '.join(cmd)} wrote no {PEAK_RSS_COUNTER} reading",
+              file=sys.stderr)
         return False
-    proc = subprocess.run(cmd, stdout=subprocess.DEVNULL)
-    if proc.returncode != 0:
-        print(f"rss gate: {' '.join(cmd)} exited {proc.returncode}", file=sys.stderr)
-        return False
-    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / rss_per_mb
+    peak_mb = peaks_kb[0] / 1024.0
     verdict = "OK" if peak_mb <= limit_mb else "REGRESSION"
     print(f"rss gate ({' '.join(gate['args'])}): peak {peak_mb:.1f} MB, "
           f"limit {limit_mb:.1f} MB [{verdict}]")
@@ -171,20 +174,12 @@ def main():
         if ratio > limit:
             failures.append(name)
 
-    rss_gates = list(baseline_data.get("rss_gates") or [])
-    legacy_gate = baseline_data.get("rss_gate")
-    if legacy_gate:
-        rss_gates.append(legacy_gate)
-    # Ascending budgets regardless of baseline order: a larger earlier peak
-    # would mask every smaller gate behind it (ru_maxrss is a high-water).
-    rss_gates.sort(key=lambda gate: gate["max_rss_mb"])
+    rss_gates = baseline_data.get("rss_gates") or []
     cpu_gates = baseline_data.get("cpu_scaling_gates") or []
     if args.cli:
         for i, gate in enumerate(rss_gates):
             if not check_rss_gate(args.cli, gate):
                 failures.append(f"rss_gate[{i}]")
-        # After the RSS gates: a --jobs N run would raise the children's
-        # RSS high-water mark above their budgets.
         for i, gate in enumerate(cpu_gates):
             if not check_cpu_scaling_gate(args.cli, gate):
                 failures.append(f"cpu_scaling_gate[{i}]")
