@@ -4,7 +4,9 @@
 #include <atomic>
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string_view>
 #include <thread>
@@ -14,6 +16,7 @@
 #include "src/common/thread_annotations.h"
 #include "src/harness/exit_codes.h"
 #include "src/harness/supervisor.h"
+#include "src/harness/wallclock.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -66,151 +69,10 @@ std::string RenderFailedRuns(const std::vector<FailedRun>& failures) {
   return w.Take();
 }
 
-// ---------------------------------------------------------------------------
-// Worker-pool plumbing. All cross-thread mutable state lives in the small
-// classes below with BR_GUARDED_BY-annotated members, so the clang
-// `-Wthread-safety` CI job statically proves every access holds the right
-// lock. (Annotations only attach to members and globals — lambda-captured
-// locals are invisible to the analysis — which is why this state is hoisted
-// out of the engine function.)
-// ---------------------------------------------------------------------------
-
-// First-failure latch for a worker pool: the first captured exception wins,
-// and failed() flips so the other workers stop claiming seeds.
-class FailureLatch {
- public:
-  // Records an exception (usually std::current_exception(), or one re-wrapped
-  // with seed/worker context); the first capture wins.
-  void Capture(std::exception_ptr error) {
-    failed_.store(true, std::memory_order_relaxed);
-    const MutexLock lock(&mu_);
-    if (!first_error_) {
-      first_error_ = std::move(error);
-    }
-  }
-
-  bool failed() const { return failed_.load(std::memory_order_relaxed); }
-
-  // Rethrows the first captured exception, if any. Call after the pool joined.
-  void RethrowIfFailed() {
-    std::exception_ptr error;
-    {
-      const MutexLock lock(&mu_);
-      error = first_error_;
-    }
-    if (error) {
-      std::rethrow_exception(error);
-    }
-  }
-
- private:
-  Mutex mu_;
-  std::atomic<bool> failed_{false};
-  std::exception_ptr first_error_ BR_GUARDED_BY(mu_);
-};
-
-// Seed-ordered commit without a dedicated committer thread. Workers finish
-// seeds out of order and hand each outcome to Commit(); whichever worker
-// completes the oldest uncommitted seed writes it — and every consecutive
-// successor already parked — through `write`, so elements leave in seed
-// order. Summaries of committed, non-quarantined seeds collect in the same
-// order for the aggregate fold.
-class OrderedCommitter {
- public:
-  OrderedCommitter(int window, std::function<void(std::string_view)> write)
-      : window_(window), write_(std::move(write)) {}
-
-  // Blocks while seed `index` lies beyond the commit window. Returns false
-  // when the claim should be dropped instead: `abandon()` (a latched failure
-  // or a requested stop) holds. `abandon()` flips outside mu_ (a signal,
-  // another worker's exception), yet no waiter sleeps through it: the oldest
-  // uncommitted seed always belongs to a worker that is not waiting, and
-  // that worker's next Commit() or Wake() notifies.
-  bool AwaitTurn(int index, const std::function<bool()>& abandon) {
-    const MutexLock lock(&mu_);
-    if (index >= next_ + window_ && !abandon()) {
-      // How long this worker idled for the ordered commit to catch up.
-      const obs::ScopedSpan wait_span("commit_wait", "campaign", index);
-      while (index >= next_ + window_ && !abandon()) {
-        cv_.Wait(&mu_);
-      }
-    }
-    return !abandon();
-  }
-
-  void Commit(int index, SeedOutcome outcome) {
-    {
-      const MutexLock lock(&mu_);
-      parked_.emplace(index, std::move(outcome));
-      while (!parked_.empty() && parked_.begin()->first == next_) {
-        SeedOutcome& ready = parked_.begin()->second;
-        // Quarantined seeds advance the order without emitting an element.
-        if (!ready.failed) {
-          if (emitted_++ > 0) {
-            write_(",");
-          }
-          write_(ready.element);
-          summaries_.push_back(std::move(ready.summary));
-        }
-        parked_.erase(parked_.begin());
-        ++next_;
-      }
-    }
-    cv_.NotifyAll();
-  }
-
-  // Wakes every worker blocked in AwaitTurn so it re-checks `abandon()`. A
-  // worker calls this when it stops claiming: the seed it dropped (or failed)
-  // may be the one the blocked workers wait on. Acquiring mu_ (even briefly)
-  // orders the notification after a waiter's condition check: either the
-  // waiter already saw the new state, or it has released mu_ inside
-  // cv_.Wait() and the NotifyAll cannot be lost.
-  void Wake() {
-    { const MutexLock lock(&mu_); }
-    cv_.NotifyAll();
-  }
-
-  // Seeds committed so far, a prefix of the seed order.
-  int committed() const {
-    const MutexLock lock(&mu_);
-    return next_;
-  }
-
-  // Committed seeds' summaries in seed order. Call after the pool joins.
-  std::vector<std::vector<double>> TakeSummaries() {
-    const MutexLock lock(&mu_);
-    return std::move(summaries_);
-  }
-
- private:
-  const int window_;
-  const std::function<void(std::string_view)> write_;
-  mutable Mutex mu_;
-  CondVar cv_;
-  int next_ BR_GUARDED_BY(mu_) = 0;
-  int emitted_ BR_GUARDED_BY(mu_) = 0;
-  std::map<int, SeedOutcome> parked_ BR_GUARDED_BY(mu_);
-  std::vector<std::vector<double>> summaries_ BR_GUARDED_BY(mu_);
-};
-
-// Runs `body(worker_index)` on `workers` threads — the calling thread doubles
-// as worker 0 — and joins them all.
-void RunWorkerPool(int workers, const std::function<void(int)>& body) {
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int t = 1; t < workers; ++t) {
-    pool.emplace_back(body, t);
-  }
-  body(0);
-  for (std::thread& t : pool) {
-    t.join();
-  }
-}
-
 // Incremental output: everything goes to stdout — or the spec's capture
 // string — and (optionally) to --out, written as produced instead of
-// accumulated in one string. Construct — and check ok() — BEFORE spawning
-// workers, so an unwritable --out fails fast instead of after minutes of
+// accumulated in one string. Construct — and check ok() — BEFORE any seed
+// starts, so an unwritable --out fails fast instead of after minutes of
 // simulation.
 class OutputSink {
  public:
@@ -314,26 +176,110 @@ class RunsSpill {
 };
 
 // ---------------------------------------------------------------------------
-// CampaignHarness: the per-seed fault-tolerance wrapper around spec.run_seed.
-// RunSeed(i) short-circuits seeds already committed in a --resume journal,
-// runs fresh seeds under the SeedSupervisor (watchdog, deterministic
-// retry/backoff, self-fault-injection), journals each success, and converts
-// persistent failures into quarantine outcomes instead of exceptions.
-// Thread-safe: workers call RunSeed concurrently.
+// Seed attempts. Every attempt runs on a fresh thread that shares only heap
+// state with the coordinator: its own Attempt and the campaign's Mailbox.
+// It never touches the journal, the sink, the supervisor or any engine
+// frame, so an attempt the watchdog abandons may finish late without harm.
 // ---------------------------------------------------------------------------
-class CampaignHarness {
+
+// Where attempt threads report that they finished. One per campaign, co-owned
+// by every attempt, so a late finish after abandonment still posts into live
+// memory (and the coordinator, if still running, ignores it).
+struct Mailbox {
+  Mutex mu;
+  CondVar cv;
+  std::vector<int> finished BR_GUARDED_BY(mu);  // seed indices
+};
+
+// One attempt's result. The attempt thread fills it in and then posts its
+// seed index; the coordinator reads it only after joining that thread.
+struct Attempt {
+  std::atomic<bool> cancel{false};  // the attempt's CancelToken flag
+  bool ok = false;
+  bool yielded = false;  // threw SeedCancelledError: a cooperative timeout
+  SeedOutcome outcome;
+  std::string error;
+};
+
+using SeedFn = std::function<SeedOutcome(int)>;
+
+// An attempt thread's body: its retry backoff, then the seed. Every argument
+// is the thread's own copy.
+void RunAttempt(const std::shared_ptr<Attempt>& self, const std::shared_ptr<Mailbox>& mailbox,
+                const std::shared_ptr<const SeedFn>& run_seed, const HarnessFaultSpec& faults,
+                std::uint64_t seed, int index, int attempt, double backoff_ms, double launch_s) {
+  // This thread's occupancy, from its launch (thread creation included) to
+  // its report.
+  const obs::ScopedSpan seed_span("seed", "campaign", index, launch_s);
+  if (backoff_ms > 0.0) {
+    const obs::ScopedSpan backoff_span("retry_backoff", "harness", index);
+    SleepMs(backoff_ms);
+  }
+  {
+    const obs::ScopedSpan attempt_span("seed_attempt", "harness", index);
+    try {
+      InjectHarnessFault(faults, seed, index, attempt,
+                         CancelToken(std::shared_ptr<std::atomic<bool>>(self, &self->cancel)));
+      self->outcome = (*run_seed)(index);
+      self->ok = true;
+    } catch (const SeedCancelledError& e) {
+      self->yielded = true;
+      self->error = e.what();
+    } catch (const std::exception& e) {
+      self->error = e.what();
+    } catch (...) {
+      self->error = "unknown exception";
+    }
+  }
+  Mailbox& box = *mailbox;
+  const MutexLock lock(&box.mu);
+  box.finished.push_back(index);
+  box.cv.NotifyOne();
+}
+
+struct HarnessCounters {
+  obs::Counter* attempts = obs::GlobalMetrics().GetCounter("harness.attempts");
+  obs::Counter* retries = obs::GlobalMetrics().GetCounter("harness.retries");
+  obs::Counter* watchdog_fires = obs::GlobalMetrics().GetCounter("harness.watchdog_fires");
+  obs::Counter* quarantines = obs::GlobalMetrics().GetCounter("harness.quarantines");
+};
+
+// Registered on the first launch, so a fully resumed campaign adds none.
+const HarnessCounters& Counters() {
+  static const HarnessCounters counters;
+  return counters;
+}
+
+SupervisorConfig SupervisorConfigFor(const CampaignEngineSpec& spec) {
+  SupervisorConfig config;
+  std::string error;
+  if (!SupervisorConfig::FromEnv(spec.identity.base_seed, &config, &error)) {
+    throw EngineSetupError(error);
+  }
+  if (spec.retries_override >= 0) {
+    config.max_attempts = 1 + spec.retries_override;
+  }
+  config.external_stop = spec.external_stop;
+  return config;
+}
+
+// ---------------------------------------------------------------------------
+// Coordinator: the thread that called RunCampaignEngine, and the only one
+// that touches this state. It launches attempts in seed order while fewer
+// than `workers` run and the next seed lies inside the commit window; waits
+// on the mailbox for completions or the earliest watchdog deadline; journals
+// successes; decides retries and quarantines; and writes finished elements
+// in seed order. A resumed seed is taken from the --resume journal instead.
+// ---------------------------------------------------------------------------
+class Coordinator {
  public:
-  explicit CampaignHarness(const CampaignEngineSpec& spec) : spec_(spec) {
-    SupervisorConfig config;
+  Coordinator(const CampaignEngineSpec& spec, int workers)
+      : spec_(spec),
+        workers_(workers),
+        window_(kCommitWindowPerWorker * workers),
+        supervisor_(SupervisorConfigFor(spec)),
+        run_seed_(std::make_shared<const SeedFn>(spec.run_seed)) {
     std::string error;
-    if (!SupervisorConfig::FromEnv(spec.identity.base_seed, &config, &error)) {
-      throw EngineSetupError(error);
-    }
-    if (spec.retries_override >= 0) {
-      config.max_attempts = 1 + spec.retries_override;
-    }
-    config.external_stop = spec.external_stop;
-    supervisor_.emplace(config);
     if (!spec.resume_path.empty()) {
       if (!journal_.OpenForResume(spec.resume_path, spec.identity, &resumed_, &error,
                                   spec.journal_sync)) {
@@ -345,68 +291,252 @@ class CampaignHarness {
       }
     }
   }
-
-  SeedOutcome RunSeed(int i) {
-    // resumed_ is read-only after construction — safe without a lock.
-    const auto it = resumed_.find(i);
-    if (it != resumed_.end()) {
-      NoteSeedDone();
-      return SeedOutcome{it->second.element, it->second.summary, false};
+  // Run() returns only once nothing runs, so attempts are still in flight
+  // here only when an unexpected exception unwinds: abandon them like hung
+  // ones (they hold only heap state).
+  ~Coordinator() {
+    for (auto& [index, f] : running_) {
+      f.state->cancel.store(true, std::memory_order_relaxed);
+      f.thread.detach();
     }
-    SeedOutcome outcome;
-    SeedFailure failure;
-    const std::function<SeedOutcome(const CancelToken&)> attempt =
-        [this, i](const CancelToken&) { return spec_.run_seed(i); };
-    if (supervisor_->Supervise<SeedOutcome>(i, attempt, &outcome, &failure)) {
-      if (journal_.open()) {
-        static obs::Counter* const commit_counter =
-            obs::GlobalMetrics().GetCounter("harness.journal_commits");
-        commit_counter->Add();
-        const obs::ScopedSpan commit_span("journal_commit", "harness", i);
-        if (!journal_.Append({i, outcome.summary, outcome.element})) {
-          throw std::runtime_error("journal append failed for seed index " +
-                                   std::to_string(i));
-        }
+  }
+  Coordinator(const Coordinator&) = delete;
+  Coordinator& operator=(const Coordinator&) = delete;
+
+  // Runs the campaign until every seed is committed or quarantined, or until
+  // a stop or a commit failure ends launching; returns once every attempt
+  // still in flight then has been joined or abandoned. Elements go to
+  // `write` in seed order. Rethrows the first commit failure, with its seed.
+  void Run(const std::function<void(std::string_view)>& write) {
+    write_ = &write;
+    for (;;) {
+      const bool window_full = LaunchReady();
+      if (running_.empty()) {
+        break;
       }
-      supervisor_->NoteCommitted();
-      NoteSeedDone();
-      return outcome;
+      AwaitEvents(window_full);
     }
-    {
-      const MutexLock lock(&mu_);
-      failures_.push_back({i,
-                           spec_.identity.base_seed + static_cast<std::uint64_t>(i),
-                           failure.attempts, failure.timed_out, failure.error});
+    write_ = nullptr;
+    if (error_) {
+      std::rethrow_exception(error_);
     }
-    outcome.element.clear();
-    outcome.summary.clear();
-    outcome.failed = true;
-    NoteSeedDone();
-    return outcome;
   }
 
-  bool stop_requested() const { return supervisor_->stop_requested(); }
-
-  // Quarantined seeds in index order. Call after the pool joins.
-  std::vector<FailedRun> failures() const {
-    const MutexLock lock(&mu_);
-    std::vector<FailedRun> sorted = failures_;
-    std::sort(sorted.begin(), sorted.end(),
+  bool stop_requested() const { return supervisor_.stop_requested(); }
+  // Seeds committed so far, a prefix of the seed order.
+  int committed() const { return next_commit_; }
+  // Committed seeds' summaries in seed order.
+  std::vector<std::vector<double>> TakeSummaries() { return std::move(summaries_); }
+  // Quarantined seeds in index order.
+  std::vector<FailedRun> TakeFailures() {
+    std::sort(failures_.begin(), failures_.end(),
               [](const FailedRun& a, const FailedRun& b) { return a.index < b.index; });
-    return sorted;
-  }
-
-  // Where to point the user when a run was interrupted mid-campaign.
-  std::string ResumeHint() const {
-    const std::string& path =
-        spec_.resume_path.empty() ? spec_.journal_path : spec_.resume_path;
-    if (path.empty()) {
-      return "; rerun with --journal FILE to make campaigns resumable";
-    }
-    return "; resume with --resume " + path;
+    return std::move(failures_);
   }
 
  private:
+  struct InFlight {
+    std::shared_ptr<Attempt> state;
+    std::thread thread;
+    int attempt = 1;
+    double start_s = 0.0;    // WallSeconds() when the attempt's backoff ends
+    double timeout_s = 0.0;  // the watchdog deadline it runs under
+    bool cancelled = false;
+  };
+
+  // Launches (or takes from the resume journal) seeds in order. True when
+  // only the commit window holds the next launch back.
+  bool LaunchReady() {
+    while (!error_ && !supervisor_.stop_requested() && next_launch_ < spec_.seeds) {
+      if (running_.size() >= static_cast<std::size_t>(workers_)) {
+        return false;
+      }
+      if (next_launch_ >= next_commit_ + window_) {
+        return true;
+      }
+      const int i = next_launch_++;
+      const auto resumed = resumed_.find(i);
+      if (resumed == resumed_.end()) {
+        Guarded(i, [&] { Launch(i, 1); });
+        continue;
+      }
+      NoteSeedDone();
+      Guarded(i, [&] {
+        Park(i, SeedOutcome{resumed->second.element, resumed->second.summary, false});
+      });
+    }
+    return false;
+  }
+
+  void Launch(int i, int attempt) {
+    Counters().attempts->Add();
+    InFlight f;
+    f.state = std::make_shared<Attempt>();
+    f.attempt = attempt;
+    f.timeout_s = supervisor_.AttemptTimeoutS();
+    const double backoff_ms = attempt > 1 ? supervisor_.BackoffMs(i, attempt - 1) : 0.0;
+    const double now = WallSeconds();
+    f.start_s = now + backoff_ms / 1e3;
+    const SupervisorConfig& config = supervisor_.config();
+    f.thread = std::thread(RunAttempt, f.state, mailbox_, run_seed_, config.faults, config.seed,
+                           i, attempt, backoff_ms, now);
+    running_.emplace(i, std::move(f));
+  }
+
+  // Blocks until an attempt reports or the earliest watchdog deadline (or
+  // the end of a cancel grace) passes, then handles both.
+  void AwaitEvents(bool window_full) {
+    const double grace_s = supervisor_.config().cancel_grace_s;
+    double wake_s = std::numeric_limits<double>::infinity();
+    for (const auto& [index, f] : running_) {
+      wake_s = std::min(wake_s, f.start_s + f.timeout_s + (f.cancelled ? grace_s : 0.0));
+    }
+    std::vector<int> finished;
+    {
+      // How long the commit window held the next launch back.
+      std::optional<obs::ScopedSpan> stall;
+      if (window_full) {
+        stall.emplace("commit_wait", "campaign", next_launch_);
+      }
+      Mailbox& box = *mailbox_;
+      const MutexLock lock(&box.mu);
+      while (box.finished.empty()) {
+        const double left_s = wake_s - WallSeconds();
+        if (left_s <= 0.0) {
+          break;
+        }
+        box.cv.WaitFor(&box.mu, left_s);
+      }
+      finished.swap(box.finished);
+    }
+    for (const int i : finished) {
+      Finish(i);
+    }
+    Watchdog(grace_s);
+  }
+
+  void Finish(int i) {
+    const auto it = running_.find(i);
+    if (it == running_.end()) {
+      return;  // abandoned earlier: its seed is already quarantined
+    }
+    it->second.thread.join();
+    const std::shared_ptr<Attempt> done = std::move(it->second.state);
+    const int attempt = it->second.attempt;
+    const double run_s = WallSeconds() - it->second.start_s;
+    running_.erase(it);
+    Guarded(i, [&] {
+      if (done->ok) {
+        supervisor_.NoteDuration(run_s);
+        Commit(i, std::move(done->outcome));
+      } else if (attempt < supervisor_.max_attempts()) {
+        if (!error_) {
+          Counters().retries->Add();
+          obs::TraceInstantArg("seed_retry", "harness", i);
+          Launch(i, attempt + 1);  // the new thread sleeps its own backoff
+        }
+      } else {
+        Quarantine(i, attempt, done->yielded, std::move(done->error));
+      }
+    });
+  }
+
+  // Cancels attempts past their deadline, and abandons cancelled ones that
+  // did not return within the grace: the thread is detached (it owns only
+  // heap state) and the seed quarantined without a retry, because a
+  // deterministic hang would only hang again.
+  void Watchdog(double grace_s) {
+    const double now = WallSeconds();
+    for (auto it = running_.begin(); it != running_.end();) {
+      const int i = it->first;
+      InFlight& f = it->second;
+      const double deadline_s = f.start_s + f.timeout_s;
+      if (!f.cancelled && now >= deadline_s) {
+        Counters().watchdog_fires->Add();
+        obs::TraceInstantArg("watchdog_fire", "harness", i);
+        f.state->cancel.store(true, std::memory_order_relaxed);
+        f.cancelled = true;
+      }
+      if (!f.cancelled || now < deadline_s + grace_s) {
+        ++it;
+        continue;
+      }
+      f.thread.detach();
+      const int attempt = f.attempt;
+      const double timeout_s = f.timeout_s;
+      it = running_.erase(it);
+      Guarded(i, [&] {
+        Quarantine(i, attempt, /*timed_out=*/true, SeedSupervisor::WatchdogMessage(timeout_s));
+      });
+    }
+  }
+
+  void Commit(int i, SeedOutcome outcome) {
+    if (error_) {
+      return;
+    }
+    if (journal_.open()) {
+      static obs::Counter* const commit_counter =
+          obs::GlobalMetrics().GetCounter("harness.journal_commits");
+      commit_counter->Add();
+      const obs::ScopedSpan commit_span("journal_commit", "harness", i);
+      if (!journal_.Append({i, outcome.summary, outcome.element})) {
+        throw std::runtime_error("journal append failed for seed index " + std::to_string(i));
+      }
+    }
+    supervisor_.NoteCommitted();
+    NoteSeedDone();
+    Park(i, std::move(outcome));
+  }
+
+  void Quarantine(int i, int attempts, bool timed_out, std::string error) {
+    if (error_) {
+      return;
+    }
+    Counters().quarantines->Add();
+    obs::TraceInstantArg("seed_quarantine", "harness", i);
+    failures_.push_back({i, spec_.identity.base_seed + static_cast<std::uint64_t>(i), attempts,
+                         timed_out, std::move(error)});
+    NoteSeedDone();
+    SeedOutcome failed;
+    failed.failed = true;
+    Park(i, std::move(failed));
+  }
+
+  // Holds seed i until every earlier seed is in, then writes it and every
+  // consecutive successor already parked. Quarantined seeds advance the
+  // order without an element.
+  void Park(int i, SeedOutcome outcome) {
+    parked_.emplace(i, std::move(outcome));
+    while (!parked_.empty() && parked_.begin()->first == next_commit_) {
+      SeedOutcome& ready = parked_.begin()->second;
+      if (!ready.failed) {
+        if (emitted_++ > 0) {
+          (*write_)(",");
+        }
+        (*write_)(ready.element);
+        summaries_.push_back(std::move(ready.summary));
+      }
+      parked_.erase(parked_.begin());
+      ++next_commit_;
+    }
+  }
+
+  // Runs one step of seed i's bookkeeping. The first failure stops the
+  // campaign: launches, retries and commits cease, the attempts in flight
+  // drain, and Run() rethrows it with the seed's context.
+  template <typename Step>
+  void Guarded(int i, Step step) {
+    try {
+      step();
+    } catch (const std::exception& e) {
+      if (!error_) {
+        error_ = std::make_exception_ptr(std::runtime_error(
+            spec_.label + ", seed index " + std::to_string(i) + ": " + e.what()));
+      }
+    }
+  }
+
   void NoteSeedDone() {
     if (spec_.seeds_done != nullptr) {
       spec_.seeds_done->fetch_add(1, std::memory_order_relaxed);
@@ -414,17 +544,34 @@ class CampaignHarness {
   }
 
   const CampaignEngineSpec& spec_;
-  std::optional<SeedSupervisor> supervisor_;
+  const int workers_;
+  const int window_;
+  SeedSupervisor supervisor_;
   CampaignJournal journal_;
   std::map<int, JournalEntry> resumed_;
-  mutable Mutex mu_;
-  std::vector<FailedRun> failures_ BR_GUARDED_BY(mu_);
+  // Shared with every attempt thread, which may outlive this object.
+  const std::shared_ptr<const SeedFn> run_seed_;
+  const std::shared_ptr<Mailbox> mailbox_ = std::make_shared<Mailbox>();
+  const std::function<void(std::string_view)>* write_ = nullptr;  // set during Run()
+  std::map<int, InFlight> running_;
+  std::map<int, SeedOutcome> parked_;
+  int next_launch_ = 0;
+  int next_commit_ = 0;
+  int emitted_ = 0;
+  std::vector<std::vector<double>> summaries_;
+  std::vector<FailedRun> failures_;
+  std::exception_ptr error_;
 };
 
-// Reports a graceful interrupt (stderr note + kExitInterrupted).
-int FinishInterrupted(const CampaignHarness& harness, int processed, int seeds) {
-  std::fprintf(stderr, "note: campaign interrupted after %d of %d seeds%s\n",
-               processed, seeds, harness.ResumeHint().c_str());
+// Reports a graceful interrupt (stderr note + kExitInterrupted) and where to
+// point the user.
+int FinishInterrupted(const CampaignEngineSpec& spec, int processed) {
+  const std::string& path = spec.resume_path.empty() ? spec.journal_path : spec.resume_path;
+  const std::string hint = path.empty()
+                               ? "; rerun with --journal FILE to make campaigns resumable"
+                               : "; resume with --resume " + path;
+  std::fprintf(stderr, "note: campaign interrupted after %d of %d seeds%s\n", processed,
+               spec.seeds, hint.c_str());
   return kExitInterrupted;
 }
 
@@ -454,16 +601,16 @@ std::string DocumentHead(const CampaignEngineSpec& spec,
   return head.Take();
 }
 
-// The one campaign pipeline. Workers claim seeds in order and run them under
-// the harness; the OrderedCommitter emits finished elements in seed order,
-// either straight to the sink behind the document head (--stream, for live
-// consumption: the aggregate block then trails the runs array) or into a
-// RunsSpill that follows the head and aggregate block once every seed is in
-// (default layout). Both layouts carry the same runs and aggregate values.
+// The one campaign pipeline. The Coordinator runs seeds under the harness
+// and emits finished elements in seed order, either straight to the sink
+// behind the document head (--stream, for live consumption: the aggregate
+// block then trails the runs array) or into a RunsSpill that follows the
+// head and aggregate block once every seed is in (default layout). Both
+// layouts carry the same runs and aggregate values.
 int RunPipeline(const CampaignEngineSpec& spec) {
   const int seeds = spec.seeds;
   const int workers = std::max(1, std::min(spec.jobs, seeds));
-  CampaignHarness harness(spec);
+  Coordinator coordinator(spec, workers);
   OutputSink sink(spec.out_path, spec.capture);
   if (!sink.ok()) {
     return sink.Finish();  // fail fast: --out unwritable, nothing simulated
@@ -479,11 +626,11 @@ int RunPipeline(const CampaignEngineSpec& spec) {
     }
   }
 
-  OrderedCommitter committer(kCommitWindowPerWorker * workers, [&](std::string_view text) {
+  coordinator.Run([&](std::string_view text) {
     if (spill) {
       spill->Write(text);
-      // Thrown from inside the committing worker's Commit(), so the latch
-      // stops every worker now instead of after the remaining seeds ran.
+      // Thrown from the coordinator's commit, so launching stops now instead
+      // of after the remaining seeds ran.
       if (!spill->ok()) {
         throw std::runtime_error("campaign spill write failed");
       }
@@ -491,52 +638,17 @@ int RunPipeline(const CampaignEngineSpec& spec) {
       sink.Write(text);
     }
   });
-  std::atomic<int> next{0};
-  FailureLatch latch;
-  RunWorkerPool(workers, [&](int w) {
-    // Stop claiming once any worker failed, or on a graceful stop (in-flight
-    // seeds finish and commit; nothing new starts).
-    const std::function<bool()> abandon = [&] {
-      return latch.failed() || harness.stop_requested();
-    };
-    for (int i = next.fetch_add(1); i < seeds; i = next.fetch_add(1)) {
-      if (!committer.AwaitTurn(i, abandon)) {
-        break;
-      }
-      try {
-        SeedOutcome outcome;
-        {
-          // Worker-occupancy span: one "seed" interval per claim on this
-          // worker's trace track, so idle gaps between seeds are visible.
-          // It closes before Commit(), whose ordered writes are not seed work.
-          const obs::ScopedSpan seed_span("seed", "campaign", i);
-          outcome = harness.RunSeed(i);
-        }
-        committer.Commit(i, std::move(outcome));
-      } catch (const std::exception& e) {
-        latch.Capture(std::make_exception_ptr(std::runtime_error(
-            spec.label + ", seed index " + std::to_string(i) + ", worker " +
-            std::to_string(w) + ": " + e.what())));
-        break;
-      } catch (...) {
-        latch.Capture(std::current_exception());
-        break;
-      }
-    }
-    committer.Wake();
-  });
-  latch.RethrowIfFailed();
 
   // Aggregates fold over exactly the seeds that made it into the runs array.
-  const int committed = committer.committed();
-  const bool interrupted = harness.stop_requested() && committed < seeds;
-  const std::vector<std::vector<double>> summaries = committer.TakeSummaries();
-  const std::vector<FailedRun> failures = harness.failures();
+  const int committed = coordinator.committed();
+  const bool interrupted = coordinator.stop_requested() && committed < seeds;
+  const std::vector<std::vector<double>> summaries = coordinator.TakeSummaries();
+  const std::vector<FailedRun> failures = coordinator.TakeFailures();
   if (spill) {
     if (interrupted) {
       // Nothing merged: the journal, not a half-document, is the restart
       // artifact.
-      return FinishInterrupted(harness, committed, seeds);
+      return FinishInterrupted(spec, committed);
     }
     sink.Write(DocumentHead(spec, &summaries));
     if (!spill->CopyTo(&sink)) {
@@ -557,7 +669,7 @@ int RunPipeline(const CampaignEngineSpec& spec) {
   sink.Write("\n}\n");
   if (interrupted) {
     sink.Finish();
-    return FinishInterrupted(harness, committed, seeds);
+    return FinishInterrupted(spec, committed);
   }
   return FinishCompleted(&sink, failures);
 }

@@ -702,8 +702,9 @@ bool BuildCampaignEngineSpec(const CampaignRequest& req, CampaignEngineSpec* spe
   spec->retries_override = req.retries;
   spec->journal_sync = req.journal_sync;
   // Everything below captures by value (registry entries have static storage
-  // duration), so the spec is self-contained: serve keeps it alive across the
-  // request's worker pool long after the request struct is gone.
+  // duration), so the spec is self-contained: serve keeps it alive long after
+  // the request struct is gone, and the engine's copy of run_seed stays valid
+  // for an abandoned attempt.
   if (is_fleet) {
     spec->run_seed = [fleet, days, base_seed](int i) {
       return RunFleetSeed(*fleet, days, base_seed + static_cast<std::uint64_t>(i));

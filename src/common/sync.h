@@ -23,9 +23,9 @@
 //   };
 //
 // Annotations attach to class members and globals, not function locals, so
-// worker-pool state shared via lambda captures must be hoisted into a small
-// struct/class for the analysis to see it (see the campaign engine in
-// tools/byterobust_cli.cc).
+// state threads share via lambda captures must be hoisted into a small
+// struct/class for the analysis to see it (see the campaign engine's
+// Mailbox in src/campaign/engine.cc).
 
 #ifndef SRC_COMMON_SYNC_H_
 #define SRC_COMMON_SYNC_H_
@@ -90,7 +90,8 @@ class CondVar {
   // Timed wait: returns false if `seconds` elapsed without a notification.
   // Same contract as Wait() — mutex held on entry and on return, spurious
   // wakeups possible, so callers loop on their condition and their own
-  // deadline (see the seed supervisor's watchdog in src/harness/supervisor.cc).
+  // deadline (see the campaign coordinator's watchdog in
+  // src/campaign/engine.cc).
   bool WaitFor(Mutex* mu, double seconds) BR_REQUIRES(mu) {
     std::unique_lock<std::mutex> lock(mu->mu_, std::adopt_lock);
     const std::cv_status status =

@@ -13,7 +13,7 @@
 // belongs to a single campaign worker thread; "concurrent jobs" are
 // interleaved deterministically by the discrete-event simulator, not by OS
 // threads. Cross-seed parallelism happens strictly above this layer in the
-// CLI worker pool, which shares nothing mutable between seeds.
+// campaign engine's seed attempts, which share nothing mutable.
 
 #ifndef SRC_FLEET_FLEET_H_
 #define SRC_FLEET_FLEET_H_

@@ -12,7 +12,7 @@ namespace byterobust {
 inline constexpr int kExitOk = 0;
 
 // I/O or worker error: short write on stdout/--out, spill failure, or an
-// exception escaping the worker pool.
+// exception escaping the campaign engine.
 inline constexpr int kExitIoError = 1;
 
 // Usage or setup error: bad flags, unknown scenario, bad env knob, or an

@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "src/common/rng.h"
+#include "src/harness/wallclock.h"
 
 namespace byterobust {
 namespace {
@@ -168,8 +169,8 @@ bool SeedSupervisor::stop_requested() const {
 }
 
 void SeedSupervisor::NoteCommitted() {
-  const int n = committed_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (config_.faults.stop_after >= 0 && n >= config_.faults.stop_after) {
+  ++committed_;
+  if (config_.faults.stop_after >= 0 && committed_ >= config_.faults.stop_after) {
     RequestStop();
   }
 }
@@ -179,7 +180,6 @@ double SeedSupervisor::AttemptTimeoutS() const {
     return config_.timeout_override_s;
   }
   const double floor_s = std::max(config_.timeout_floor_s, 0.001);
-  const MutexLock lock(&mu_);
   if (!have_estimate_) {
     return floor_s;
   }
@@ -187,23 +187,22 @@ double SeedSupervisor::AttemptTimeoutS() const {
 }
 
 void SeedSupervisor::NoteDuration(double seconds) {
-  const MutexLock lock(&mu_);
   ewma_seconds_ = have_estimate_ ? 0.7 * ewma_seconds_ + 0.3 * seconds : seconds;
   have_estimate_ = true;
 }
 
-void SeedSupervisor::BackoffSleep(int index, int retry) const {
+double SeedSupervisor::BackoffMs(int index, int retry) const {
   const BackoffPolicy policy(
       config_.backoff,
       HarnessMix(config_.seed ^ static_cast<std::uint64_t>(index) * 0xC2B2AE35ULL));
-  SleepMs(policy.DelayMs(retry));
+  return policy.DelayMs(retry);
 }
 
-std::string SeedSupervisor::WatchdogMessage(double deadline_s) {
+std::string SeedSupervisor::WatchdogMessage(double timeout_s) {
   char buf[96];
   std::snprintf(buf, sizeof(buf),
                 "seed watchdog fired after %.3fs and the worker did not yield",
-                deadline_s);
+                timeout_s);
   return buf;
 }
 

@@ -211,10 +211,11 @@ void TraceInstantArg(const char* name, const char* cat, std::int64_t arg) {
 }
 
 ScopedSpan::ScopedSpan(const char* name, const char* cat, bool has_arg,
-                       std::int64_t arg)
+                       std::int64_t arg, double start_s)
     : name_(name), cat_(cat), active_(TraceEnabled()) {
   if (active_) {
-    Writer().Emit("B", name_, cat_, WallSeconds(), -1.0, has_arg, arg);
+    Writer().Emit("B", name_, cat_, start_s >= 0.0 ? start_s : WallSeconds(), -1.0,
+                  has_arg, arg);
   }
 }
 

@@ -2,10 +2,10 @@
 //
 // A process-global writer, off by default, enabled by `--trace <file>`. When
 // enabled, instrumented sites across the harness (seed attempts, retries,
-// watchdog fires, quarantines, journal commits), the campaign engine (worker
-// seed occupancy, ordered-commit waits, spill merge), and the serve daemon
-// (admit -> queue -> run -> respond, sheds, cancels) append events the
-// Perfetto / chrome://tracing viewers open directly.
+// watchdog fires, quarantines, journal commits), the campaign engine (one
+// "seed" span per attempt thread, commit-window stalls, spill merge), and
+// the serve daemon (admit -> queue -> run -> respond, sheds, cancels) append
+// events the Perfetto / chrome://tracing viewers open directly.
 //
 // Determinism contract: the trace is strictly a side channel. Campaign,
 // fleet, and serve response bytes are identical with tracing on or off —
@@ -85,9 +85,14 @@ void TraceInstantArg(const char* name, const char* cat, std::int64_t arg);
 class ScopedSpan {
  public:
   ScopedSpan(const char* name, const char* cat)
-      : ScopedSpan(name, cat, /*has_arg=*/false, 0) {}
+      : ScopedSpan(name, cat, /*has_arg=*/false, 0, /*start_s=*/-1.0) {}
   ScopedSpan(const char* name, const char* cat, std::int64_t arg)
-      : ScopedSpan(name, cat, /*has_arg=*/true, arg) {}
+      : ScopedSpan(name, cat, /*has_arg=*/true, arg, /*start_s=*/-1.0) {}
+  // Stamps the "B" at `start_s`, an earlier WallSeconds() reading (such as
+  // the launch time of the thread that opens the span). Only for the first
+  // event on a fresh thread's track, where no later stamp precedes it.
+  ScopedSpan(const char* name, const char* cat, std::int64_t arg, double start_s)
+      : ScopedSpan(name, cat, /*has_arg=*/true, arg, start_s) {}
   ~ScopedSpan();
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -95,7 +100,7 @@ class ScopedSpan {
 
  private:
   ScopedSpan(const char* name, const char* cat, bool has_arg,
-             std::int64_t arg);
+             std::int64_t arg, double start_s);
   const char* name_;
   const char* cat_;
   bool active_;  // trace was enabled at construction; emit the matching E

@@ -86,8 +86,8 @@ std::string RunRequest(const ServeRequest& req, int max_jobs, std::atomic<bool>*
   try {
     code = RunCampaignEngine(spec, &setup_error);
   } catch (const std::exception& e) {
-    // A worker-pool failure (already wrapped with campaign/seed/worker
-    // context) is this request's failure, not the daemon's.
+    // An engine failure (already wrapped with campaign and seed context) is
+    // this request's failure, not the daemon's.
     return RenderErrorResponse(req.op, e.what(), kExitIoError);
   }
   if (code == kExitUsage) {

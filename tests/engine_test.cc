@@ -1,6 +1,7 @@
 // Campaign engine pipeline, driven with a synthetic per-seed runner so the
-// ordering, layout, quarantine, interrupt and memory-window contracts are
-// checked without simulating anything.
+// ordering, layout, quarantine, interrupt and memory-window contracts, and
+// the supervision of every seed attempt (retry, watchdog, abandonment,
+// injected faults), are checked without simulating anything.
 
 #include "src/campaign/engine.h"
 
@@ -12,12 +13,18 @@
 #include <chrono>
 #include <csignal>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/harness/exit_codes.h"
+#include "src/harness/journal.h"
+#include "src/harness/wallclock.h"
 
 namespace byterobust {
 namespace {
@@ -236,6 +243,168 @@ TEST(EngineTest, ProgressGaugeCountsEverySeed) {
   RunCaptured(spec, &code);
   EXPECT_EQ(code, kExitOk);
   EXPECT_EQ(done.load(), 12);
+}
+
+
+// ---------------------------------------------------------------------------
+// Seed supervision, end to end: the coordinator's retry, watchdog,
+// abandonment and quarantine paths.
+// ---------------------------------------------------------------------------
+
+// Sets one of the engine's two environment knobs for a scope; the engine
+// reads them at every RunCampaignEngine call.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    ::setenv(name, value, /*overwrite=*/1);
+  }
+  ~ScopedEnv() { ::unsetenv(name_); }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+};
+
+// The document's "failed_runs" block, or "" when there is none.
+std::string FailedRuns(const std::string& doc) {
+  const std::size_t begin = doc.find("\"failed_runs\"");
+  if (begin == std::string::npos) {
+    return "";
+  }
+  return doc.substr(begin, doc.find("\n  ]", begin) - begin);
+}
+
+// The document up to the end of its runs array.
+std::string RunsPrefix(const std::string& doc) {
+  return doc.substr(0, doc.find("\n  ]") + 4);
+}
+
+TEST(EngineSupervisionTest, TransientFailureIsRetriedToSuccess) {
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  CampaignEngineSpec spec = SyntheticSpec(8, 3, /*stream=*/false);
+  const auto inner = spec.run_seed;
+  spec.run_seed = [inner, calls](int i) {
+    if (i == 5 && calls->fetch_add(1) < 2) {
+      throw std::runtime_error("transient worker death");
+    }
+    return inner(i);
+  };
+  int code = -1;
+  const std::string doc = RunCaptured(spec, &code);
+  EXPECT_EQ(code, kExitOk);
+  EXPECT_EQ(doc, Expected(8, /*stream=*/false));
+  EXPECT_EQ(calls->load(), 3);  // two failures, then the default third attempt
+}
+
+TEST(EngineSupervisionTest, PersistentFailureQuarantinesWithAttemptCount) {
+  CampaignEngineSpec spec = SyntheticSpec(8, 3, /*stream=*/true);
+  const auto inner = spec.run_seed;
+  spec.run_seed = [inner](int i) {
+    if (i == 7) {
+      throw std::runtime_error("always broken");
+    }
+    return inner(i);
+  };
+  int code = -1;
+  const std::string doc = RunCaptured(spec, &code);
+  EXPECT_EQ(code, kExitQuarantine);
+  EXPECT_EQ(RunsPrefix(doc), RunsPrefix(Expected(8, /*stream=*/true, {7})));
+  const std::string failed = FailedRuns(doc);
+  EXPECT_NE(failed.find("\"index\": 7,"), std::string::npos) << failed;
+  EXPECT_NE(failed.find("\"attempts\": 3,"), std::string::npos) << failed;
+  EXPECT_NE(failed.find("\"timed_out\": false,"), std::string::npos) << failed;
+  EXPECT_NE(failed.find("always broken"), std::string::npos) << failed;
+}
+
+// The injected hang fault is the one attempt that polls its cancel token: it
+// yields only once the watchdog fires, and a seed under the same deadline
+// that finishes in time is never cancelled.
+TEST(EngineSupervisionTest, WatchdogFiresOnlyPastDeadline) {
+  const ScopedEnv timeout("BYTEROBUST_SEED_TIMEOUT_S", "0.15");
+  {
+    const ScopedEnv faults("BYTEROBUST_HARNESS_FAULTS", "hang:1");
+    CampaignEngineSpec spec = SyntheticSpec(1, 1, /*stream=*/true);
+    spec.retries_override = 0;
+    const double start = WallSeconds();
+    int code = -1;
+    const std::string doc = RunCaptured(spec, &code);
+    EXPECT_GE(WallSeconds() - start, 0.15);
+    EXPECT_EQ(code, kExitQuarantine);
+    const std::string failed = FailedRuns(doc);
+    EXPECT_NE(failed.find("\"timed_out\": true,"), std::string::npos) << failed;
+    EXPECT_NE(failed.find("cancelled by watchdog"), std::string::npos) << failed;
+  }
+  int code = -1;
+  EXPECT_EQ(RunCaptured(SyntheticSpec(6, 2, /*stream=*/false), &code),
+            Expected(6, /*stream=*/false));
+  EXPECT_EQ(code, kExitOk);
+}
+
+// A seed that ignores cancellation is abandoned once the cancel grace ends:
+// the campaign finishes without it, and its late finish reaches neither the
+// document nor the journal.
+TEST(EngineSupervisionTest, NonCooperativeHangIsAbandonedWithoutRetry) {
+  struct Gate {
+    std::atomic<bool> release{false};
+    std::atomic<bool> finished{false};
+  };
+  const ScopedEnv timeout("BYTEROBUST_SEED_TIMEOUT_S", "0.1");
+  auto gate = std::make_shared<Gate>();
+  CampaignEngineSpec spec = SyntheticSpec(6, 3, /*stream=*/false);
+  spec.identity = {"campaign", "synthetic", 6, 7, 1.0, "unknown"};
+  spec.journal_path = ::testing::TempDir() + "/engine_abandon.journal";
+  const auto inner = spec.run_seed;
+  spec.run_seed = [inner, gate](int i) {
+    if (i == 3) {
+      while (!gate->release.load()) {  // never looks at a cancel token
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      SeedOutcome late = inner(i);
+      gate->finished.store(true);
+      return late;
+    }
+    return inner(i);
+  };
+  int code = -1;
+  const std::string doc = RunCaptured(spec, &code);
+  EXPECT_FALSE(gate->finished.load());  // returned while seed 3 is still blocked
+  EXPECT_EQ(code, kExitQuarantine);
+  EXPECT_EQ(RunsPrefix(doc), RunsPrefix(Expected(6, /*stream=*/false, {3})));
+  const std::string failed = FailedRuns(doc);
+  EXPECT_NE(failed.find("\"index\": 3,"), std::string::npos) << failed;
+  EXPECT_NE(failed.find("\"attempts\": 1,"), std::string::npos) << failed;
+  EXPECT_NE(failed.find("\"timed_out\": true,"), std::string::npos) << failed;
+  EXPECT_NE(failed.find("did not yield"), std::string::npos) << failed;
+
+  gate->release.store(true);
+  while (!gate->finished.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let it report
+  CampaignIdentity identity;
+  std::map<int, JournalEntry> journaled;
+  long valid_end = 0;
+  std::string error;
+  ASSERT_TRUE(CampaignJournal::Load(spec.journal_path, &identity, &journaled, &valid_end, &error))
+      << error;
+  EXPECT_EQ(journaled.size(), 5u);
+  EXPECT_EQ(journaled.count(3), 0u);
+  std::remove(spec.journal_path.c_str());
+}
+
+TEST(EngineSupervisionTest, CrashSeedFaultQuarantinesThatSeedOnly) {
+  const ScopedEnv faults("BYTEROBUST_HARNESS_FAULTS", "crash_seed:2");
+  int code = -1;
+  const std::string doc = RunCaptured(SyntheticSpec(5, 2, /*stream=*/true), &code);
+  EXPECT_EQ(code, kExitQuarantine);
+  EXPECT_EQ(RunsPrefix(doc), RunsPrefix(Expected(5, /*stream=*/true, {2})));
+  const std::string failed = FailedRuns(doc);
+  EXPECT_NE(failed.find("\"index\": 2,"), std::string::npos) << failed;
+  EXPECT_EQ(failed.find("\"index\":", failed.find("\"index\": 2,") + 1), std::string::npos)
+      << failed;
+  EXPECT_NE(failed.find("\"attempts\": 3,"), std::string::npos) << failed;
+  EXPECT_NE(failed.find("persistent crash"), std::string::npos) << failed;
 }
 
 }  // namespace

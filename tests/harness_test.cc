@@ -1,6 +1,6 @@
 // Harness fault-tolerance suite: deterministic backoff jitter, the resumable
 // campaign journal's round-trip / truncation / corruption contracts, the seed
-// supervisor's watchdog + retry + quarantine state machine, the
+// supervisor's deadline estimate and stop plumbing, the
 // BYTEROBUST_HARNESS_FAULTS self-fault-injection grammar, and the range
 // check on BYTEROBUST_SEED_TIMEOUT_S.
 
@@ -11,14 +11,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/harness/backoff.h"
 #include "src/harness/journal.h"
 #include "src/harness/supervisor.h"
-#include "src/harness/wallclock.h"
 
 namespace byterobust {
 namespace {
@@ -346,7 +344,8 @@ TEST(HarnessFaultSpecTest, InjectionIsDeterministicPerIndexAttemptKind) {
 }
 
 // --------------------------------------------------------------------------
-// Supervisor
+// Supervisor policy. The campaign coordinator applies it; engine_test drives
+// its retry, watchdog, abandonment and quarantine paths end to end.
 // --------------------------------------------------------------------------
 SupervisorConfig FastConfig() {
   SupervisorConfig config;
@@ -359,141 +358,23 @@ SupervisorConfig FastConfig() {
   return config;
 }
 
-TEST(SeedSupervisorTest, SuccessPassesResultThrough) {
-  SeedSupervisor supervisor(FastConfig());
-  std::string result;
-  SeedFailure failure;
-  const bool ok = supervisor.Supervise<std::string>(
-      0, [](const CancelToken&) { return std::string("seed-output"); }, &result, &failure);
-  ASSERT_TRUE(ok) << failure.error;
-  EXPECT_EQ(result, "seed-output");
-}
-
-TEST(SeedSupervisorTest, TransientFailureIsRetriedToSuccess) {
-  SeedSupervisor supervisor(FastConfig());
-  auto attempts = std::make_shared<std::atomic<int>>(0);
-  std::string result;
-  SeedFailure failure;
-  const bool ok = supervisor.Supervise<std::string>(
-      5,
-      [attempts](const CancelToken&) {
-        if (attempts->fetch_add(1) < 2) {
-          throw std::runtime_error("transient worker death");
-        }
-        return std::string("recovered");
-      },
-      &result, &failure);
-  ASSERT_TRUE(ok) << failure.error;
-  EXPECT_EQ(result, "recovered");
-  EXPECT_EQ(attempts->load(), 3);
-}
-
-TEST(SeedSupervisorTest, PersistentFailureQuarantinesWithAttemptCount) {
-  SeedSupervisor supervisor(FastConfig());
-  std::string result;
-  SeedFailure failure;
-  const bool ok = supervisor.Supervise<std::string>(
-      7,
-      [](const CancelToken&) -> std::string { throw std::runtime_error("always broken"); },
-      &result, &failure);
-  EXPECT_FALSE(ok);
-  EXPECT_EQ(failure.index, 7);
-  EXPECT_EQ(failure.attempts, 3);
-  EXPECT_FALSE(failure.timed_out);
-  EXPECT_NE(failure.error.find("always broken"), std::string::npos);
-}
-
-TEST(SeedSupervisorTest, WatchdogFiresOnlyPastDeadline) {
-  SupervisorConfig config = FastConfig();
-  config.max_attempts = 1;
-  config.timeout_override_s = 0.15;
-  SeedSupervisor supervisor(config);
-  EXPECT_DOUBLE_EQ(supervisor.AttemptTimeoutS(), 0.15);
-
-  // A cooperative hang: never finishes on its own, yields when cancelled.
-  std::string result;
-  SeedFailure failure;
-  const double start = WallSeconds();
-  const bool ok = supervisor.Supervise<std::string>(
-      0,
-      [](const CancelToken& token) -> std::string {
-        while (!token.cancelled()) {
-          SleepMs(1.0);
-        }
-        throw SeedCancelledError("yielded to watchdog");
-      },
-      &result, &failure);
-  const double elapsed = WallSeconds() - start;
-  EXPECT_FALSE(ok);
-  EXPECT_TRUE(failure.timed_out);
-  EXPECT_GE(elapsed, 0.15);  // never fires before the deadline
-
-  // A fast seed under the same deadline is never cancelled.
-  auto cancelled_seen = std::make_shared<std::atomic<bool>>(false);
-  const bool fast_ok = supervisor.Supervise<std::string>(
-      1,
-      [cancelled_seen](const CancelToken& token) {
-        cancelled_seen->store(token.cancelled());
-        return std::string("fast");
-      },
-      &result, &failure);
-  ASSERT_TRUE(fast_ok) << failure.error;
-  EXPECT_FALSE(cancelled_seen->load());
-}
-
-// A worker that ignores its token past the cancel grace is abandoned
-// (detached) and its seed quarantined at once: a deterministic hang would
-// only hang again, so it is not retried.
-TEST(SeedSupervisorTest, NonCooperativeHangIsAbandonedWithoutRetry) {
-  SupervisorConfig config = FastConfig();
-  config.timeout_override_s = 0.1;
-  config.cancel_grace_s = 0.05;
-  SeedSupervisor supervisor(config);
-  auto release = std::make_shared<std::atomic<bool>>(false);
-  auto finished = std::make_shared<std::atomic<bool>>(false);
-  std::string result;
-  SeedFailure failure;
-  const bool ok = supervisor.Supervise<std::string>(
-      3,
-      [release, finished](const CancelToken&) {
-        while (!release->load()) {  // never looks at the token
-          SleepMs(1.0);
-        }
-        finished->store(true);
-        return std::string("too late");
-      },
-      &result, &failure);
-  EXPECT_FALSE(ok);
-  EXPECT_EQ(failure.index, 3);
-  EXPECT_EQ(failure.attempts, 1);
-  EXPECT_TRUE(failure.timed_out);
-  EXPECT_NE(failure.error.find("did not yield"), std::string::npos) << failure.error;
-  EXPECT_TRUE(result.empty());
-  // Let the abandoned worker finish so it does not outlive the test.
-  release->store(true);
-  while (!finished->load()) {
-    SleepMs(1.0);
-  }
-}
-
 TEST(SeedSupervisorTest, TrailingEstimateScalesDeadline) {
   SupervisorConfig config = FastConfig();
   config.timeout_override_s = 0.0;
   config.timeout_floor_s = 0.001;
   config.timeout_factor = 10.0;
   SeedSupervisor supervisor(config);
-  std::string result;
-  SeedFailure failure;
-  ASSERT_TRUE(supervisor.Supervise<std::string>(
-      0,
-      [](const CancelToken&) {
-        SleepMs(20.0);
-        return std::string("slow");
-      },
-      &result, &failure));
-  // EWMA seeded at ~20ms; deadline = factor * estimate >= 100ms.
-  EXPECT_GE(supervisor.AttemptTimeoutS(), 0.1);
-  EXPECT_LE(supervisor.AttemptTimeoutS(), 10.0);
+  EXPECT_DOUBLE_EQ(supervisor.AttemptTimeoutS(), 0.001);  // the floor, before any estimate
+  supervisor.NoteDuration(0.02);
+  // EWMA seeded at 20ms; deadline = factor * estimate.
+  EXPECT_DOUBLE_EQ(supervisor.AttemptTimeoutS(), 0.2);
+  supervisor.NoteDuration(0.12);  // 0.7 * 0.02 + 0.3 * 0.12 = 0.05
+  EXPECT_NEAR(supervisor.AttemptTimeoutS(), 0.5, 1e-12);
+
+  config.timeout_override_s = 0.15;  // BYTEROBUST_SEED_TIMEOUT_S pins it
+  SeedSupervisor pinned(config);
+  pinned.NoteDuration(1.0);
+  EXPECT_DOUBLE_EQ(pinned.AttemptTimeoutS(), 0.15);
 }
 
 // BYTEROBUST_SEED_TIMEOUT_S comes from outside the program. Past ~9.2e9 s
@@ -535,20 +416,6 @@ TEST(SeedSupervisorTest, StopAfterFaultRequestsExternalStop) {
   EXPECT_TRUE(supervisor.stop_requested());
   EXPECT_TRUE(stop.load());
   EXPECT_EQ(supervisor.committed(), 2);
-}
-
-TEST(SeedSupervisorTest, CrashSeedFaultQuarantinesThatSeedOnly) {
-  SupervisorConfig config = FastConfig();
-  config.faults.crash_seed = 2;
-  SeedSupervisor supervisor(config);
-  std::string result;
-  SeedFailure failure;
-  EXPECT_TRUE(supervisor.Supervise<std::string>(
-      1, [](const CancelToken&) { return std::string("ok"); }, &result, &failure));
-  EXPECT_FALSE(supervisor.Supervise<std::string>(
-      2, [](const CancelToken&) { return std::string("never"); }, &result, &failure));
-  EXPECT_EQ(failure.attempts, config.max_attempts);
-  EXPECT_NE(failure.error.find("persistent crash"), std::string::npos);
 }
 
 }  // namespace

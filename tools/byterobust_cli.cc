@@ -17,7 +17,7 @@
 //       --body '{"op":"campaign","scenario":"quickstart","seeds":2}'
 //
 // The scenario registries and per-seed runners live in src/campaign/
-// (scenarios.{h,cc}); the seed-parallel worker pool and streaming merger in
+// (scenarios.{h,cc}); the seed-parallel, ordered-commit campaign engine in
 // src/campaign/engine.{h,cc}; the serve daemon in src/serve/. `campaign`,
 // `fleet` and every serve request share the engine, so output is
 // byte-identical across --jobs values, --stream on/off, and CLI vs service.
@@ -80,8 +80,8 @@ int Emit(JsonWriter* w, const std::string& out_path) {
 }
 
 // ---------------------------------------------------------------------------
-// Graceful shutdown: SIGINT/SIGTERM flip one lock-free flag that the worker
-// pool (and the serve supervision loop) polls — in-flight seeds finish, the
+// Graceful shutdown: SIGINT/SIGTERM flip one lock-free flag that the campaign
+// engine (and the serve supervision loop) polls — in-flight seeds finish, the
 // journal and any partial --stream output are flushed, and the process exits
 // kExitInterrupted. A second signal falls through to the default disposition
 // (immediate kill). `request` polls no flag, so it keeps the default
@@ -156,7 +156,7 @@ int Usage() {
                "  most 1e6) and BYTEROBUST_HARNESS_FAULTS injects harness faults.\n"
                "\n"
                "  --trace FILE records Chrome trace_event JSON spans (harness\n"
-               "  attempts/retries/watchdog, engine workers and commit waits, serve\n"
+               "  attempts/retries/watchdog, seed occupancy and commit waits, serve\n"
                "  request lifecycle) viewable in Perfetto or chrome://tracing;\n"
                "  --dashboard FILE exports per-job sliding-window ETTR/MFU series.\n"
                "  Both are side channels: output bytes are identical with or without\n"
@@ -604,8 +604,8 @@ int Main(int argc, char** argv) {
 }  // namespace byterobust
 
 int main(int argc, char** argv) {
-  // Single exit funnel: worker-pool exceptions (already wrapped with
-  // campaign/seed/worker context by the failure latch) print exactly once.
+  // Single exit funnel: campaign engine exceptions (already wrapped with
+  // campaign/seed context) print exactly once.
   try {
     return byterobust::Main(argc, argv);
   } catch (const std::exception& e) {
