@@ -82,9 +82,18 @@ void BM_SimulatorSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorSteadyState)->Arg(16)->Arg(256);
 
+// Sums the steps it sees, one run per step (a horizon of one step).
+struct StepSink final : StepObserver {
+  std::int64_t Horizon(const StepRun&) const override { return 1; }
+  void OnRun(const StepRun& run) override { sum += run.first_step; }
+
+  std::int64_t sum = 0;
+};
+
 // The simulated training-step hot path: epoch-cached perf-model queries plus
-// batched inline step execution (no interfering events, so every step after
-// the first runs without a queue round-trip).
+// inline step runs (no interfering events, so every step after the first
+// runs without a queue round-trip; the sink's horizon makes each run one
+// step).
 void BM_TrainJobStepLoop(benchmark::State& state) {
   const std::int64_t steps = state.range(0);
   JobConfig cfg;
@@ -98,11 +107,11 @@ void BM_TrainJobStepLoop(benchmark::State& state) {
     Simulator sim;
     Cluster cluster(cfg.parallelism.num_machines(), cfg.parallelism.gpus_per_machine);
     TrainJob job(cfg, &sim, &cluster, 7);
-    std::int64_t sink = 0;
-    job.AddStepObserver([&sink](const StepRecord& rec) { sink += rec.step; });
+    StepSink sink;
+    job.AddStepObserver(&sink);
     job.Start();
     sim.RunUntil(cfg.base_step_time * steps);
-    benchmark::DoNotOptimize(sink);
+    benchmark::DoNotOptimize(sink.sum);
     if (job.steps_completed() != steps) {
       state.SkipWithError("unexpected step count");
     }
@@ -200,7 +209,14 @@ void BM_ServeRequestRoundtrip(benchmark::State& state) {
     benchmark::DoNotOptimize(body.size());
   }
 }
-BENCHMARK(BM_ServeRequestRoundtrip)->Unit(benchmark::kMillisecond);
+// Gated on the process CPU time per request (the daemon runs in-process), the
+// median of five repetitions: wall time on a shared host mostly measures the
+// host.
+BENCHMARK(BM_ServeRequestRoundtrip)
+    ->MeasureProcessCPUTime()
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true)
+    ->Unit(benchmark::kMillisecond);
 
 // Sustained service throughput: four concurrent clients hammer one daemon
 // (--workers 4, --jobs 1 engines) with one-seed quickstart campaigns.
@@ -254,7 +270,10 @@ void BM_ServeThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeThroughput)
     ->Threads(4)
+    ->MeasureProcessCPUTime()
     ->UseRealTime()
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true)
     ->Unit(benchmark::kMillisecond);
 
 Topology MakeTopo(int dp) {

@@ -58,6 +58,6 @@ int main() {
   std::printf("snapshot; Megatron save serializes synchronously and loses ~60%% MFU.\n");
   std::printf("Known deviation: the paper's Memory-save blocking *shrinks* at 256B scale\n");
   std::printf("(0.22 s), which depends on unpublished MoE sharding details; our model\n");
-  std::printf("keeps it proportional to the per-rank payload (see EXPERIMENTS.md).\n");
+  std::printf("keeps it proportional to the per-rank payload (src/ckpt/cost_model.cc).\n");
   return 0;
 }

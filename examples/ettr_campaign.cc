@@ -14,7 +14,9 @@ using namespace byterobust;
 int main(int argc, char** argv) {
   const double days = argc > 1 ? std::atof(argv[1]) : 14.0;
   ScenarioConfig config = DenseCampaignConfig(days, /*seed=*/91);
-  std::printf("running %.0f-day campaign: %s\n", days, config.system.job.ToString().c_str());
+  const JobConfig& job = config.system.job;
+  std::printf("running %.0f-day campaign: %s (%.0fB, %s)\n", days, job.name.c_str(),
+              job.model_params_b, job.parallelism.ToString().c_str());
   std::printf("fault process: one infrastructure/implicit incident every ~%.1f h at this scale\n",
               ToHours(FaultInjectorConfig{}.reference_mtbf) * 2048.0 /
                   config.system.job.parallelism.num_machines());

@@ -35,7 +35,7 @@ struct CkptManagerConfig {
   SimDuration remote_load_overhead = Seconds(120);
 };
 
-class CheckpointManager {
+class CheckpointManager : private StepObserver {
  public:
   CheckpointManager(const CkptManagerConfig& config, Simulator* sim, TrainJob* job);
 
@@ -80,12 +80,17 @@ class CheckpointManager {
     SimTime complete_time;
   };
 
-  void OnStep(const StepRecord& record);
+  // Step observer: saves never act on anything, so every run is absorbed;
+  // each save step drains and starts saves at its own end time.
+  std::int64_t Horizon(const StepRun&) const override { return kUnbounded; }
+  void OnRun(const StepRun& run) override;
   // Saves become durable in FIFO order at a deterministic latency, so instead
-  // of scheduling one simulator event per save (which would cap the batched
-  // step loop at the save latency and cost O(steps) event traffic), completed
-  // saves are folded into durable_step_ lazily at the current simulated time.
-  void DrainCompletedSaves() const;
+  // of scheduling one simulator event per save (which would cap step runs at
+  // the save latency and cost O(steps) event traffic), completed saves are
+  // folded into durable_step_ lazily, at the current simulated time for
+  // queries and at each save step's end time while a run is absorbed.
+  void DrainCompletedSaves() const { DrainCompletedSaves(sim_->Now()); }
+  void DrainCompletedSaves(SimTime now) const;
 
   CkptManagerConfig config_;
   Simulator* sim_;

@@ -36,10 +36,6 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) {
-  log_internal::g_severity_threshold.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
 LogLevel GetLogLevel() {
   return static_cast<LogLevel>(
       log_internal::g_severity_threshold.load(std::memory_order_relaxed));

@@ -23,9 +23,8 @@ enum class LogLevel : int {
   kOff = 4,
 };
 
-// Sets/gets the process-wide severity threshold. Messages below the threshold
-// are discarded.
-void SetLogLevel(LogLevel level);
+// The process-wide severity threshold (kWarning). Messages below it are
+// discarded.
 LogLevel GetLogLevel();
 
 // Installs a simulated clock source so log lines carry sim timestamps.
@@ -45,7 +44,7 @@ void LogMessage(LogLevel level, const char* module, const char* format, ...)
 
 namespace log_internal {
 // The threshold lives in the header so the macros' enabled-check inlines to a
-// single relaxed atomic load. Write through SetLogLevel(), never directly.
+// single relaxed atomic load. Nothing writes it after static initialization.
 //
 // Concurrency contract: this atomic and the thread_local clock binding in
 // log.cc are the logger's entire cross-thread surface. The threshold is

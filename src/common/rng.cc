@@ -34,16 +34,6 @@ double Rng::Exponential(double mean) {
   return dist(engine_);
 }
 
-double Rng::Normal(double mean, double stddev) {
-  std::normal_distribution<double> dist(mean, stddev);
-  return dist(engine_);
-}
-
-double Rng::LogNormal(double mu, double sigma) {
-  std::lognormal_distribution<double> dist(mu, sigma);
-  return dist(engine_);
-}
-
 int Rng::Binomial(int n, double p) {
   if (n <= 0 || p <= 0.0) {
     return 0;

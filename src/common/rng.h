@@ -29,12 +29,6 @@ class Rng {
   // Exponentially distributed value with the given mean (> 0).
   double Exponential(double mean);
 
-  // Normally distributed value.
-  double Normal(double mean, double stddev);
-
-  // Log-normal with the given underlying mu/sigma.
-  double LogNormal(double mu, double sigma);
-
   // Binomially distributed count of successes from n trials at probability p.
   int Binomial(int n, double p);
 

@@ -43,10 +43,12 @@ void ByteRobustSystem::WireComponents(SimTime ettr_origin) {
       spares_, hot_updates_.get(), ckpt_.get(), root.Fork());
   ettr_ = std::make_unique<EttrTracker>(ettr_origin, config_.metrics_retention);
   mfu_series_.SetRetention(config_.metrics_retention);
-  job_->AddStepObserver([this](const StepRecord& rec) {
-    ettr_->OnStep(rec);
-    mfu_series_.OnStep(rec);
-  });
+  job_->AddStepObserver(this);
+}
+
+void ByteRobustSystem::OnRun(const StepRun& run) {
+  ettr_->OnRun(run);
+  mfu_series_.OnRun(run);
 }
 
 void ByteRobustSystem::Start() {

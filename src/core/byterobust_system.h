@@ -71,7 +71,7 @@ struct FleetMemberWiring {
   SimTime ettr_origin = 0;       // campaign start for this job's ETTR clock
 };
 
-class ByteRobustSystem {
+class ByteRobustSystem : private StepObserver {
  public:
   explicit ByteRobustSystem(const SystemConfig& config);
 
@@ -104,6 +104,10 @@ class ByteRobustSystem {
 
  private:
   void WireComponents(SimTime ettr_origin);
+
+  // Step observer feeding the ETTR tracker and MFU series, which take any run.
+  std::int64_t Horizon(const StepRun&) const override { return kUnbounded; }
+  void OnRun(const StepRun& run) override;
 
   SystemConfig config_;
   std::unique_ptr<Simulator> owned_sim_;

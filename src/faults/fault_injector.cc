@@ -45,11 +45,6 @@ SimDuration FaultInjector::NextFailureDelay(int num_machines) {
   return SaturatingDuration(rng_.Exponential(mean));
 }
 
-SimDuration FaultInjector::NextManualRestartDelay() {
-  const double mean = static_cast<double>(config_.manual_restart_interval);
-  return SaturatingDuration(rng_.Exponential(mean));
-}
-
 RootCause FaultInjector::SampleRootCause(IncidentSymptom symptom) {
   if (rng_.Bernoulli(UserCodeProbability(symptom) * config_.user_code_scale)) {
     return RootCause::kUserCode;

@@ -25,9 +25,6 @@ struct FaultInjectorConfig {
   SimDuration reference_mtbf = Hours(2.78);
   int reference_machines = 2048;
 
-  // Mean time between manual code/data adjustments (independent of scale;
-  // driven by the engineering team, not the hardware).
-  SimDuration manual_restart_interval = Hours(10.0);
   bool include_manual_restarts = true;
 
   // Probability that an infrastructure-caused network/storage symptom is
@@ -58,9 +55,6 @@ class FaultInjector {
 
   // Draws the delay until the next infrastructure/implicit incident.
   SimDuration NextFailureDelay(int num_machines);
-
-  // Draws the delay until the next manual restart request.
-  SimDuration NextManualRestartDelay();
 
   // Samples a failure incident (explicit or implicit, never manual) striking
   // one of `serving` machines.

@@ -3,6 +3,10 @@
 // one-hour window, exposing the temporal dynamics of failure handling.
 // Recomputed steps (work lost to restarts) are *not* productive.
 //
+// Both trackers take whole step runs and keep run-length state: a span or
+// sample entry covers every contiguous step of equal duration (and, for MFU,
+// equal MFU and run id), expanded step by step only when read.
+//
 // Windowed compaction: with a nonzero retention, closed spans/samples older
 // than the trailing window are folded into running aggregates (sum, count,
 // min/max, per-run totals) as steps arrive, so memory stays O(window) for
@@ -82,8 +86,9 @@ class EttrTracker {
     return *this;
   }
 
-  // Feed every completed step (subscribe to TrainJob).
+  // Feed every completed step or run (ByteRobustSystem wires the job's runs).
   void OnStep(const StepRecord& record);
+  void OnRun(const StepRun& run);
 
   // Cumulative ETTR at time `now`.
   double CumulativeEttr(SimTime now) const;
@@ -100,16 +105,20 @@ class EttrTracker {
   // Productive time per run id (running aggregate, unaffected by compaction).
   const std::map<int, SimDuration>& productive_by_run() const { return productive_by_run_; }
 
-  // Compaction statistics.
+  // Compaction statistics, in steps.
   SimDuration retention() const { return retention_; }
-  std::size_t retained_spans() const { return productive_spans_.size(); }
+  std::size_t retained_spans() const;
   std::int64_t spans_folded() const { return spans_folded_; }
   SimDuration folded_productive() const { return folded_productive_; }
 
  private:
+  // `count` contiguous productive steps of `step_time` each from `start`.
   struct Span {
     SimTime start;
-    SimTime end;
+    SimDuration step_time;
+    std::int64_t count;
+
+    SimTime end() const { return start + count * step_time; }
   };
 
   SimTime origin_;
@@ -128,7 +137,8 @@ class EttrTracker {
   std::deque<Span> productive_spans_;  // sorted by end time (append order)
 };
 
-// A (time, mfu) sample series for Figs. 2 and 11.
+// A (time, mfu) sample series for Figs. 2 and 11: one sample per productive
+// step, at its end time.
 struct MfuSample {
   SimTime time = 0;
   std::int64_t step = 0;
@@ -140,9 +150,12 @@ struct MfuSample {
 class MfuSeries {
  public:
   void OnStep(const StepRecord& record);
+  void OnRun(const StepRun& run);
 
   // With a nonzero retention, only the samples inside the trailing window.
-  const std::deque<MfuSample>& samples() const { return samples_; }
+  // Expanded from the run-length entries on the first read after a change,
+  // reading losses from the job's loss curve: read it while the job lives.
+  const std::deque<MfuSample>& samples() const;
 
   // Sets the trailing retention window; samples older than it are folded into
   // the running aggregates below as steps arrive. 0 (default) keeps all.
@@ -161,8 +174,25 @@ class MfuSeries {
   double mfu_sum() const { return mfu_sum_; }
 
  private:
+  // `count` samples of consecutive steps from `first_step`, ending
+  // `step_time` apart from `first_end`.
+  struct Entry {
+    SimTime first_end;
+    SimDuration step_time;
+    std::int64_t first_step;
+    std::int64_t count;
+    double mfu;
+    int run_id;
+    const LossModel* losses;  // null: every sample's loss is `loss`
+    double loss;
+  };
+
+  void Append(const Entry& entry);
+
   SimDuration retention_ = 0;
-  std::deque<MfuSample> samples_;
+  std::deque<Entry> entries_;
+  mutable std::deque<MfuSample> samples_;
+  mutable bool samples_stale_ = false;
   std::int64_t total_samples_ = 0;
   std::int64_t samples_folded_ = 0;
   double mfu_sum_ = 0.0;

@@ -5,6 +5,7 @@
 #ifndef SRC_MONITOR_METRICS_RULES_H_
 #define SRC_MONITOR_METRICS_RULES_H_
 
+#include <cstdint>
 #include <deque>
 #include <optional>
 #include <vector>
@@ -34,10 +35,29 @@ class MetricsRules {
   // Feeds one completed step; returns an anomaly if a rule fires.
   std::optional<AnomalyReport> OnStep(const StepRecord& record);
 
+  // Leading steps of `next` on which no rule can fire, in closed form:
+  //   - NaN: none;
+  //   - MFU decline: while MFU sits below the decline ratio, the steps
+  //     before the streak reaches decline_steps;
+  //   - 5x spike: every step, when the loss curve cannot rise 5x over any
+  //     earlier step (LossModel::MaxRiseRatio) and the run lies past every
+  //     step in the trailing window; none otherwise.
+  std::int64_t QuietSteps(const StepRun& next) const;
+
+  // Absorbs `run` without evaluating it step by step and returns true when
+  // every step is quiet; returns false (and changes nothing) otherwise, and
+  // the caller feeds the run to OnStep one record at a time.
+  bool TryAbsorb(const StepRun& run);
+
   // Clears history (after a restart or rollback the baselines reset).
   void Reset();
 
  private:
+  // Moves the absorbed steps' losses into the window, so that the window
+  // holds exactly what per-step feeding would have put there.
+  void MaterializeAbsorbed();
+  void ClearWindow();
+
   // Upper median of the trailing window (the value a copy-and-sort of
   // recent_loss_ would put at index size()/2), served in O(1) from the
   // sorted window below.
@@ -53,6 +73,14 @@ class MetricsRules {
   // allocating tree structures on the per-step hot path while serving the
   // median as sorted_loss_[size() / 2].
   std::vector<double> sorted_loss_;
+  // The newest steps of the window, absorbed by TryAbsorb and kept as step
+  // indices [absorbed_first_, absorbed_first_ + absorbed_count_) whose
+  // losses are read back from the curve only when a test could fire.
+  const LossModel* absorbed_losses_ = nullptr;
+  std::int64_t absorbed_first_ = 0;
+  std::int64_t absorbed_count_ = 0;
+  // Highest step fed since the window was last cleared (-1: none).
+  std::int64_t window_max_step_ = -1;
   double mfu_high_water_ = 0.0;
   int decline_run_ = 0;
 };

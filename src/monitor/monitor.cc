@@ -32,7 +32,7 @@ Monitor::Monitor(const MonitorConfig& config, Simulator* sim, Cluster* cluster, 
       cluster_(cluster),
       job_(job),
       rules_(config.metrics) {
-  job_->AddStepObserver([this](const StepRecord& rec) { OnStepRecord(rec); });
+  job_->AddStepObserver(this);
   job_->AddStateObserver([this](JobRunState state) { OnJobStateChange(state); });
 }
 
@@ -264,12 +264,18 @@ void Monitor::OnJobStateChange(JobRunState state) {
   }
 }
 
-void Monitor::OnStepRecord(const StepRecord& record) {
-  if (!running_) {
+std::int64_t Monitor::Horizon(const StepRun& next) const {
+  return running_ ? rules_.QuietSteps(next) : kUnbounded;
+}
+
+void Monitor::OnRun(const StepRun& run) {
+  if (!running_ || rules_.TryAbsorb(run)) {
     return;
   }
-  if (auto report = rules_.OnStep(record)) {
-    Emit(std::move(*report));
+  for (std::int64_t i = 0; i < run.count; ++i) {
+    if (auto report = rules_.OnStep(run.Record(i))) {
+      Emit(std::move(*report));
+    }
   }
 }
 

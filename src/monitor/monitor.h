@@ -9,8 +9,8 @@
 // the watchdog while the job is progressing and no hang can fire before
 // last_progress + hang_grace. The cluster's health-epoch waker and a TrainJob
 // state observer re-arm them on demand, so monitoring event traffic is
-// proportional to incidents, not simulated time, and the batched step loop
-// runs unimpeded between incidents. MonitorConfig::quiescent = false pins the
+// proportional to incidents, not simulated time, and the job advances whole
+// step runs between incidents. MonitorConfig::quiescent = false pins the
 // periodic reference path; campaign JSON is byte-identical either way.
 
 #ifndef SRC_MONITOR_MONITOR_H_
@@ -51,7 +51,7 @@ struct MonitorConfig {
   bool quiescent = true;
 };
 
-class Monitor {
+class Monitor : private StepObserver {
  public:
   Monitor(const MonitorConfig& config, Simulator* sim, Cluster* cluster, TrainJob* job);
 
@@ -78,7 +78,11 @@ class Monitor {
 
   void RunInspectionPass(InspectionCategory category);
   void RunWatchdog();
-  void OnStepRecord(const StepRecord& record);
+  // Step observer: the metric rules' quiet steps bound each run; a run they
+  // cannot absorb in closed form is one step, evaluated like the per-step
+  // path.
+  std::int64_t Horizon(const StepRun& next) const override;
+  void OnRun(const StepRun& run) override;
   void OnJobStateChange(JobRunState state);
   void Emit(AnomalyReport report);
 

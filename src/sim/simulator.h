@@ -90,7 +90,7 @@ class Simulator {
   void Stop() { stopped_ = true; }
 
   // True after Stop() until the next Run()/RunUntil() resets it. Lets
-  // in-handler fast paths (batched stepping) honor a stop request the same
+  // in-handler fast paths (step runs) honor a stop request the same
   // way the dispatch loop would.
   bool stop_requested() const { return stopped_; }
 
@@ -110,8 +110,8 @@ class Simulator {
 
   // Advances Now() to `when` without dispatching anything. `when` must not
   // precede Now() or overtake a pending live event — time only moves forward
-  // and never skips scheduled work. This is the batched-stepping fast path:
-  // a handler that knows nothing fires before `when` claims the interval
+  // and never skips scheduled work. This is the step-run fast path: a
+  // handler that knows nothing fires before `when` claims the interval
   // inline instead of paying one queue round-trip per step.
   void AdvanceTo(SimTime when);
 

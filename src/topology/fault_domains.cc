@@ -19,18 +19,6 @@ const char* DomainLevelName(DomainLevel level) {
   return "unknown";
 }
 
-const char* DomainStateName(DomainState state) {
-  switch (state) {
-    case DomainState::kUp:
-      return "up";
-    case DomainState::kDegraded:
-      return "degraded";
-    case DomainState::kDown:
-      return "down";
-  }
-  return "unknown";
-}
-
 namespace {
 int DivUp(int a, int b) { return (a + b - 1) / b; }
 }  // namespace

@@ -48,8 +48,6 @@ enum class DomainState {
   kDown,      // hard-failed (power loss); machines beneath it are dead
 };
 
-const char* DomainStateName(DomainState state);
-
 // Shape of the domain tree over a machine pool. Division is by contiguous
 // machine-id bands; ragged tails (a last rack with fewer machines) are fine.
 struct FaultDomainConfig {

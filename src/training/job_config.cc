@@ -1,17 +1,8 @@
 #include "src/training/job_config.h"
 
-#include <cstdio>
 #include <stdexcept>
 
 namespace byterobust {
-
-std::string JobConfig::ToString() const {
-  char buf[192];
-  std::snprintf(buf, sizeof(buf), "%s: %.0fB %s, %s, batch=%d", name.c_str(), model_params_b,
-                arch == ModelArch::kDense ? "dense" : "MoE", parallelism.ToString().c_str(),
-                global_batch_size);
-  return buf;
-}
 
 JobConfig Table5Job70B(int scale_machines) {
   JobConfig cfg;

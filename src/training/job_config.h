@@ -30,11 +30,12 @@ struct JobConfig {
   // raise the relative MFU over the campaign (Fig. 11: 1.25x dense, 1.58x MoE).
   double base_mfu = 0.32;
 
-  // Batched step execution: a completing step runs every follow-on step that
-  // fits strictly before the next pending simulator event inline, instead of
-  // scheduling one event per step. Observable behavior (StepRecord streams,
-  // campaign JSON) is identical either way; the switch exists so equivalence
-  // tests can pin the per-step reference path.
+  // Step runs: a completing step claims the follow-on steps that fit
+  // strictly before the next pending simulator event inline, as whole runs
+  // bounded by the step observers' horizons, instead of scheduling one event
+  // per step. Observable behavior (the expanded StepRecord stream, campaign
+  // JSON) is identical either way; the switch exists so equivalence tests
+  // can pin the one-step-per-event reference path.
   bool batched_stepping = true;
 
   // Loss-curve parameters (power-law decay, Fig. 2).
@@ -43,8 +44,6 @@ struct JobConfig {
   double loss_decay_steps = 2000.0;  // scale of the power-law knee
   double loss_decay_alpha = 0.35;
   double loss_noise_stddev = 0.006;
-
-  std::string ToString() const;
 };
 
 // Table 5 setups. `scale_machines` in {128, 256} for the 70B model and

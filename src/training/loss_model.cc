@@ -1,6 +1,7 @@
 #include "src/training/loss_model.h"
 
 #include <cmath>
+#include <limits>
 
 namespace byterobust {
 
@@ -13,6 +14,16 @@ std::uint64_t Mix(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 }  // namespace
+
+LossModel::LossModel(const JobConfig& config, std::uint64_t seed)
+    : config_(config), seed_(seed), max_rise_ratio_(std::numeric_limits<double>::infinity()) {
+  const double noise = std::abs(config.loss_noise_stddev);
+  if (noise < 1.0 && config.loss_floor > 0.0 && config.loss_initial >= config.loss_floor &&
+      config.loss_decay_alpha >= 0.0 && config.loss_decay_steps > 0.0) {
+    // The 1e-9 slack covers rounding in pow() and the products above.
+    max_rise_ratio_ = (1.0 + noise) / (1.0 - noise) * (1.0 + 1e-9);
+  }
+}
 
 double LossModel::NoiseAt(std::int64_t step) const {
   const std::uint64_t h = Mix(seed_ ^ static_cast<std::uint64_t>(step) * 0x2545F4914F6CDD1DULL);

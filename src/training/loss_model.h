@@ -15,7 +15,7 @@ namespace byterobust {
 
 class LossModel {
  public:
-  LossModel(const JobConfig& config, std::uint64_t seed) : config_(config), seed_(seed) {}
+  LossModel(const JobConfig& config, std::uint64_t seed);
 
   // Loss at a given global step. Pure function: same step => same value.
   double LossAt(std::int64_t step) const;
@@ -27,12 +27,19 @@ class LossModel {
   // redundant power-law evaluation on the per-step hot path.
   double GradNormFromLoss(std::int64_t step, double loss) const;
 
+  // Upper bound on LossAt(s) / LossAt(w) over steps s >= w >= 0: the
+  // power-law base never rises with the step, and the noise moves a loss by
+  // at most a factor 1 +- loss_noise_stddev. Infinity when the configuration
+  // gives no such bound (a rising or non-positive curve, or noise >= 1).
+  double MaxRiseRatio() const { return max_rise_ratio_; }
+
  private:
   // Deterministic per-step noise in [-1, 1].
   double NoiseAt(std::int64_t step) const;
 
   JobConfig config_;
   std::uint64_t seed_;
+  double max_rise_ratio_;
 };
 
 }  // namespace byterobust

@@ -1,5 +1,6 @@
 #include "src/training/train_job.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -128,28 +129,31 @@ void TrainJob::CompleteStep() {
   if (state_ != JobRunState::kRunning) {
     return;
   }
-  FinishOneStep();
+  // The scheduled step ends now, with the step time it was scheduled with.
+  FinishRun(NextRun(step_start_, sim_->Now() - step_start_, 1));
 
-  // Batched execution: while the job stays healthy, run every whole step that
-  // ends strictly before the next pending simulator event (and within the run
-  // horizon) inline, advancing the clock directly instead of paying one
-  // closure + queue round-trip per step. Strict inequality preserves dispatch
-  // semantics exactly: a step ending *at* the next event's timestamp goes
-  // through the scheduler, so (time, schedule order) ties resolve as before.
-  // Observers run at the step's own end time (the clock is advanced first)
-  // and may schedule events or mutate the job; the loop re-reads both bounds
-  // every iteration, so the moment an observer schedules something earlier or
-  // stops/crashes/hangs the job, batching ends.
+  // Step runs: while the job stays healthy, claim the whole steps that end
+  // strictly before the next pending simulator event (and within the run
+  // horizon) inline, one run and one clock advance at a time, instead of
+  // paying one closure + queue round-trip per step. Strict inequality
+  // preserves dispatch semantics exactly: a step ending *at* the next event's
+  // timestamp goes through the scheduler, so (time, schedule order) ties
+  // resolve as before. Observer horizons keep every step an observer may act
+  // on in a run of its own, so observers run at that step's own end time and
+  // may schedule events or mutate the job; the loop re-reads every bound per
+  // run, so the moment one schedules something earlier or stops, crashes or
+  // hangs the job, the runs end.
   if (config_.batched_stepping) {
     while (state_ == JobRunState::kRunning && !sim_->stop_requested()) {
+      const SimTime start = sim_->Now();
       const SimDuration step_time = CurrentStepTime();
-      const SimTime end = sim_->Now() + step_time;
-      if (end > sim_->horizon() || end >= sim_->NextEventTime()) {
+      const SimTime last_end = std::min(sim_->horizon(), sim_->NextEventTime() - 1);
+      if (step_time <= 0 || last_end - start < step_time) {
         break;
       }
-      step_start_ = sim_->Now();
-      sim_->AdvanceTo(end);
-      FinishOneStep();
+      const StepRun run = NextRun(start, step_time, (last_end - start) / step_time);
+      sim_->AdvanceTo(run.end());
+      FinishRun(run);
     }
   }
   if (state_ == JobRunState::kRunning) {
@@ -157,26 +161,53 @@ void TrainJob::CompleteStep() {
   }
 }
 
-void TrainJob::FinishOneStep() {
-  StepRecord rec;
-  rec.step = resume_step_;
-  rec.start = step_start_;
-  rec.end = sim_->Now();
-  rec.mfu = CurrentMfu();
-  rec.is_nan = nan_loss_;
-  rec.loss = nan_loss_ ? std::nan("") : loss_.LossAt(rec.step);
-  rec.grad_norm = nan_loss_ ? std::nan("") : loss_.GradNormFromLoss(rec.step, rec.loss);
-  rec.recompute = rec.step < max_step_reached_;
-  rec.run_id = run_count_;
-
-  ++resume_step_;
-  ++steps_completed_;
-  max_step_reached_ = std::max(max_step_reached_, resume_step_);
-  last_progress_time_ = rec.end;
-
-  for (const auto& obs : observers_) {
-    obs(rec);
+StepRun TrainJob::NextRun(SimTime start, SimDuration step_time, std::int64_t count) const {
+  StepRun run;
+  run.first_step = resume_step_;
+  run.start = start;
+  run.step_time = step_time;
+  run.mfu = CurrentMfu();
+  run.is_nan = nan_loss_;
+  run.recompute = resume_step_ < max_step_reached_;
+  run.run_id = run_count_;
+  run.losses = &loss_;
+  if (run.recompute) {
+    count = std::min(count, max_step_reached_ - resume_step_);
   }
+  for (const StepObserver* obs : observers_) {
+    if (count <= 1) {
+      break;
+    }
+    run.count = count;
+    count = std::min(count, std::max<std::int64_t>(1, obs->Horizon(run)));
+  }
+  run.count = count;
+  return run;
+}
+
+void TrainJob::FinishRun(const StepRun& run) {
+  resume_step_ += run.count;
+  steps_completed_ += run.count;
+  max_step_reached_ = std::max(max_step_reached_, resume_step_);
+  last_progress_time_ = run.end();
+
+  for (StepObserver* obs : observers_) {
+    obs->OnRun(run);
+  }
+}
+
+StepRecord StepRun::Record(std::int64_t i) const {
+  StepRecord rec;
+  rec.step = first_step + i;
+  rec.start = start + i * step_time;
+  rec.end = StepEnd(i);
+  rec.mfu = mfu;
+  rec.is_nan = is_nan;
+  rec.loss = is_nan ? std::nan("") : losses->LossAt(rec.step);
+  rec.grad_norm = is_nan ? std::nan("") : losses->GradNormFromLoss(rec.step, rec.loss);
+  rec.recompute = recompute;
+  rec.run_id = run_id;
+  return rec;
 }
 
 }  // namespace byterobust

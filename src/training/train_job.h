@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -27,7 +28,7 @@ enum class JobRunState {
 
 const char* JobRunStateName(JobRunState state);
 
-// Emitted on every completed training step.
+// One completed training step, as the per-step path sees it.
 struct StepRecord {
   std::int64_t step = 0;
   SimTime start = 0;
@@ -40,6 +41,44 @@ struct StepRecord {
   int run_id = 0;
 };
 
+// Consecutive completed steps that share every condition: step time, MFU,
+// NaN and recompute flags and run id. Step i (0-based) covers
+// [start + i * step_time, start + (i + 1) * step_time]. A healthy job emits
+// one run per stretch between simulator events instead of one record per
+// step; Record(i) expands a step when a consumer needs it.
+struct StepRun {
+  std::int64_t first_step = 0;
+  std::int64_t count = 0;
+  SimTime start = 0;
+  SimDuration step_time = 0;
+  double mfu = 0.0;
+  bool is_nan = false;
+  bool recompute = false;  // every step re-does work lost to a restart
+  int run_id = 0;
+  const LossModel* losses = nullptr;  // the job's loss curve
+
+  SimTime StepEnd(std::int64_t i) const { return start + (i + 1) * step_time; }
+  SimTime end() const { return StepEnd(count - 1); }
+  StepRecord Record(std::int64_t i) const;
+};
+
+// Watches completed steps. Horizon() bounds the next run: the observer takes
+// at most that many leading steps of `next` (whose count is the longest run
+// the job could take) as one run. A run longer than one step must leave every
+// observer silent — no anomaly, no event, no change to the job — so observers
+// that may act on a step ask for a horizon of 1 there, and a one-step run is
+// exactly the per-step path. Horizon() is O(1) and allocates nothing.
+class StepObserver {
+ public:
+  static constexpr std::int64_t kUnbounded = std::numeric_limits<std::int64_t>::max();
+
+  virtual std::int64_t Horizon(const StepRun& next) const = 0;
+  virtual void OnRun(const StepRun& run) = 0;
+
+ protected:
+  ~StepObserver() = default;  // the job holds observers, never owns them
+};
+
 class TrainJob {
  public:
   TrainJob(const JobConfig& config, Simulator* sim, Cluster* cluster, std::uint64_t seed);
@@ -47,9 +86,9 @@ class TrainJob {
   TrainJob(const TrainJob&) = delete;
   TrainJob& operator=(const TrainJob&) = delete;
 
-  // Observer invoked on each step completion (monitor, metrics, checkpoints).
-  using StepObserver = std::function<void(const StepRecord&)>;
-  void AddStepObserver(StepObserver observer) { observers_.push_back(std::move(observer)); }
+  // Observers of completed steps (monitor, metrics, checkpoints), notified in
+  // registration order. The job does not own them.
+  void AddStepObserver(StepObserver* observer) { observers_.push_back(observer); }
 
   // Observer invoked after every run-state transition (Start/Stop/Crash/Hang).
   // The quiescent monitor uses it to re-arm its watchdog on demand instead of
@@ -113,7 +152,10 @@ class TrainJob {
  private:
   void ScheduleNextStep();
   void CompleteStep();
-  void FinishOneStep();
+  // Longest run of up to `count` steps from `start` that stays on one side of
+  // the recompute boundary and inside every observer's horizon.
+  StepRun NextRun(SimTime start, SimDuration step_time, std::int64_t count) const;
+  void FinishRun(const StepRun& run);
   void NotifyStateObservers();
 
   JobConfig config_;
@@ -126,7 +168,7 @@ class TrainJob {
 
   JobRunState state_ = JobRunState::kStopped;
   std::vector<CodeVersion> versions_;
-  std::vector<StepObserver> observers_;
+  std::vector<StepObserver*> observers_;
   std::vector<StateObserver> state_observers_;
 
   std::int64_t resume_step_ = 0;       // next step index to execute

@@ -155,6 +155,20 @@ std::vector<std::string> ScenarioNames() {
   return names;
 }
 
+void ExpectEveryFlipRendersTheSameRun(const ScenarioSpec& spec, std::uint64_t seed, double days) {
+  const ScenarioConfig base = BuildScenarioConfig(spec, days, seed);
+  ASSERT_TRUE(base.system.job.batched_stepping);
+  ASSERT_TRUE(base.system.monitor.quiescent);
+  ASSERT_GT(base.system.metrics_retention, 0);
+  const std::string expected = RenderRun(spec, days, base);
+  for (const ReferenceFlip& flip : ReferenceFlips()) {
+    ScenarioConfig cfg = base;
+    flip.apply(&cfg);
+    EXPECT_EQ(expected, RenderRun(spec, days, cfg))
+        << spec.name << " seed " << seed << " days " << days << ": " << flip.name;
+  }
+}
+
 class ReferencePathOracleTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ReferencePathOracleTest, EveryReferenceFlipRendersTheSameRun) {
@@ -164,18 +178,13 @@ TEST_P(ReferencePathOracleTest, EveryReferenceFlipRendersTheSameRun) {
   // and unbounded trackers really diverge in what they keep.
   for (const std::uint64_t seed : {42ULL, 1000ULL}) {
     for (const double days : {0.5, 2.0}) {
-      const ScenarioConfig base = BuildScenarioConfig(*spec, days, seed);
-      ASSERT_TRUE(base.system.job.batched_stepping);
-      ASSERT_TRUE(base.system.monitor.quiescent);
-      ASSERT_GT(base.system.metrics_retention, 0);
-      const std::string expected = RenderRun(*spec, days, base);
-      for (const ReferenceFlip& flip : ReferenceFlips()) {
-        ScenarioConfig cfg = base;
-        flip.apply(&cfg);
-        EXPECT_EQ(expected, RenderRun(*spec, days, cfg))
-            << spec->name << " seed " << seed << " days " << days << ": " << flip.name;
-      }
+      ExpectEveryFlipRendersTheSameRun(*spec, seed, days);
     }
+  }
+  // One full-length month: ~144k steps through every checkpoint cadence,
+  // MFU decline, rollback and hot update of a production-scale seed.
+  if (std::string(spec->name) == "dense-month") {
+    ExpectEveryFlipRendersTheSameRun(*spec, 42, 30.0);
   }
 }
 

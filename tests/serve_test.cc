@@ -313,7 +313,7 @@ TEST_F(ServeDaemonTest, QueueFullShedsWhileInFlightRequestIsUnaffected) {
   std::string long_response;
   std::thread occupier([this, &long_response] {
     long_response = Roundtrip(
-        "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":64,"
+        "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":1024,"
         "\"jobs\":1,\"deadline_s\":0.8}");
   });
   // Wait until the occupier is actually executing before probing admission.
@@ -359,7 +359,7 @@ TEST_F(ServeDaemonTest, ConcurrentRequestsOnOneJournalPathAreRejected) {
   std::string long_response;
   std::thread occupier([this, &journal, &long_response] {
     long_response = Roundtrip(
-        "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":64,"
+        "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":1024,"
         "\"jobs\":1,\"deadline_s\":0.8,\"journal\":\"" + journal + "\"}");
   });
   for (int i = 0; i < 100 && daemon.Snapshot().active_requests == 0; ++i) {
@@ -408,7 +408,7 @@ TEST_F(ServeDaemonTest, ClientHangUpCancelsTheRunningRequest) {
   std::memcpy(addr.sun_path, socket_path_.c_str(), socket_path_.size());
   ASSERT_EQ(connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
   const std::string line =
-      "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":256}\n";
+      "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":2048}\n";
   ASSERT_EQ(send(fd, line.data(), line.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(line.size()));
   for (int i = 0; i < 200 && daemon.Snapshot().active_requests == 0; ++i) {
@@ -418,7 +418,7 @@ TEST_F(ServeDaemonTest, ClientHangUpCancelsTheRunningRequest) {
   close(fd);
 
   // The hang-up is noticed within a supervision tick and the in-flight seed
-  // drains; 256 dense-month seeds would take far longer than this bound.
+  // drains; 2048 dense-month seeds would take far longer than this bound.
   const double give_up = WallSeconds() + 2.0;
   while (daemon.Snapshot().completed == 0 && WallSeconds() < give_up) {
     SleepMs(10.0);
@@ -448,7 +448,7 @@ TEST_F(ServeDaemonTest, DeadlineCancelsAQueuedRequest) {
   std::string long_response;
   std::thread occupier([this, &long_response] {
     long_response = Roundtrip(
-        "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":64,"
+        "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":1024,"
         "\"jobs\":1,\"deadline_s\":0.8}");
   });
   for (int i = 0; i < 100 && daemon.Snapshot().active_requests == 0; ++i) {

@@ -23,6 +23,15 @@ JobConfig SmallJob() {
   return cfg;
 }
 
+// Records every completed step: a horizon of one step makes each run one step.
+class StepRecorder final : public StepObserver {
+ public:
+  std::int64_t Horizon(const StepRun&) const override { return 1; }
+  void OnRun(const StepRun& run) override { records.push_back(run.Record(0)); }
+
+  std::vector<StepRecord> records;
+};
+
 class TrainJobTest : public ::testing::Test {
  protected:
   TrainJobTest() : cluster_(4, 2, 2), job_(SmallJob(), &sim_, &cluster_, 42) {}
@@ -42,8 +51,9 @@ TEST_F(TrainJobTest, StepsAdvanceOnSchedule) {
 }
 
 TEST_F(TrainJobTest, ObserversSeeEveryStep) {
-  std::vector<StepRecord> records;
-  job_.AddStepObserver([&](const StepRecord& r) { records.push_back(r); });
+  StepRecorder recorder;
+  job_.AddStepObserver(&recorder);
+  const std::vector<StepRecord>& records = recorder.records;
   job_.Start();
   sim_.RunUntil(Seconds(25));
   ASSERT_EQ(records.size(), 2u);
@@ -83,8 +93,9 @@ TEST_F(TrainJobTest, CrashAndHangStopProgress) {
 }
 
 TEST_F(TrainJobTest, RollbackReplaysStepsAsRecompute) {
-  std::vector<StepRecord> records;
-  job_.AddStepObserver([&](const StepRecord& r) { records.push_back(r); });
+  StepRecorder recorder;
+  job_.AddStepObserver(&recorder);
+  const std::vector<StepRecord>& records = recorder.records;
   job_.Start();
   sim_.RunUntil(Seconds(45));  // 4 steps done (0..3)
   job_.Stop();
@@ -139,8 +150,9 @@ TEST_F(TrainJobTest, SlowGpuDragsWholeJob) {
 }
 
 TEST_F(TrainJobTest, NanLossPropagatesToRecords) {
-  std::vector<StepRecord> records;
-  job_.AddStepObserver([&](const StepRecord& r) { records.push_back(r); });
+  StepRecorder recorder;
+  job_.AddStepObserver(&recorder);
+  const std::vector<StepRecord>& records = recorder.records;
   job_.SetNanLoss(true);
   job_.Start();  // Start() clears transient NaN inputs
   sim_.RunUntil(Seconds(15));

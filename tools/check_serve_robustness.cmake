@@ -85,7 +85,7 @@ serve_start(serve_b --workers 1 --jobs 1)
 
 execute_process(
     COMMAND ${CLI} request --socket ${sock_b}
-        --body "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":64,\"deadline_s\":0.3}"
+        --body "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":1024,\"deadline_s\":0.3}"
         --wait-s 15 --timeout-s 120 --out ${WORK_DIR}/deadline.json
     OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc)
 if(NOT rc EQUAL 30)

@@ -7,6 +7,12 @@ real_time exceeds the baseline by more than --max-ratio. Absolute numbers
 vary across machines, so the gate is a coarse regression tripwire (default
 2x), not a precise budget.
 
+A benchmark registered with Repetitions() is compared on the median row of
+its repetitions (keyed by its run_name), and one registered with
+MeasureProcessCPUTime() (its name carries "/process_time") on cpu_time, the
+process CPU per iteration: on a shared host its wall time mostly measures
+the host.
+
     perf_smoke.py current.json baseline.json [--max-ratio 2.0] [name ...]
     perf_smoke.py current.json baseline.json --tight BM_DenseCampaignSeed=1.5
     perf_smoke.py current.json baseline.json --cli build/tools/byterobust
@@ -60,17 +66,26 @@ PEAK_RSS_COUNTER = "process.peak_rss_kb"
 
 
 def load_report(path):
-    """Returns ({name: real_time_ns}, full_json)."""
+    """Returns ({name: gated_time_ns}, full_json).
+
+    The gated time is real_time, or cpu_time for "/process_time" benchmarks;
+    a median aggregate row stands for its run (named by run_name) and
+    overrides that run's iteration rows.
+    """
     with open(path) as f:
         data = json.load(f)
     times = {}
     for bench in data.get("benchmarks", []):
+        name = bench["name"]
         if bench.get("run_type", "iteration") != "iteration":
-            continue  # skip aggregate rows (mean/median/stddev)
+            if bench.get("aggregate_name") != "median":
+                continue  # skip the other aggregate rows (mean/stddev/cv)
+            name = bench["run_name"]
         unit = _UNIT_NS.get(bench.get("time_unit", "ns"))
         if unit is None:
             raise SystemExit(f"{path}: unknown time_unit in {bench['name']}")
-        times[bench["name"]] = bench["real_time"] * unit
+        field = "cpu_time" if "/process_time" in name else "real_time"
+        times[name] = bench[field] * unit
     return times, data
 
 
