@@ -130,7 +130,8 @@ void BM_DenseCampaignSeed(benchmark::State& state) {
     benchmark::DoNotOptimize(scenario.stats().incidents_injected);
   }
 }
-BENCHMARK(BM_DenseCampaignSeed)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DenseCampaignSeed)->Unit(benchmark::kMillisecond)->Repetitions(5)
+    ->ReportAggregatesOnly(true);
 
 // One month-scale dense seed: 30 simulated days on 9,600 GPUs. Exercises the
 // quiescence-driven schedule end to end — with monitoring parked while the
@@ -158,7 +159,8 @@ void BM_FleetCampaignSeed(benchmark::State& state) {
     benchmark::DoNotOptimize(fleet.arbiter().preemptions_total());
   }
 }
-BENCHMARK(BM_FleetCampaignSeed)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FleetCampaignSeed)->Unit(benchmark::kMillisecond)->Repetitions(5)
+    ->ReportAggregatesOnly(true);
 
 // One request/response roundtrip against a live serve daemon on a local
 // socket: connect, send, one-seed quickstart campaign (0.02 simulated days),

@@ -1,44 +1,23 @@
 #!/usr/bin/env bash
-# Runs the full bench/ binary set from a finished build.
+# Runs bench_micro_perf (google-benchmark) from a finished build with JSON
+# output to BENCH_micro.json at the repo root — the machine-readable perf
+# trajectory that future optimisation PRs diff against. The paper tables are
+# `byterobust reproduce`.
 #
 #   bench/run_all.sh [build_dir]
-#
-# - bench_micro_perf (google-benchmark) runs with --benchmark_format=json and
-#   its results land in BENCH_micro.json at the repo root — the machine-
-#   readable perf trajectory that future optimisation PRs diff against.
-# - The table/figure reproduction reports write their stdout under
-#   <build_dir>/bench_reports/ for eyeballing.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${1:-${repo_root}/build}"
-bench_dir="${build_dir}/bench"
+micro="${build_dir}/bench/bench_micro_perf"
 
-if [[ ! -d "${bench_dir}" ]]; then
-  echo "error: ${bench_dir} not found — build first:" >&2
+if [[ ! -x "${micro}" ]]; then
+  echo "error: ${micro} not built — build first:" >&2
   echo "  cmake -B build -S . && cmake --build build -j" >&2
   exit 1
 fi
 
-report_dir="${build_dir}/bench_reports"
-mkdir -p "${report_dir}"
-
-micro="${bench_dir}/bench_micro_perf"
-if [[ -x "${micro}" ]]; then
-  echo "== bench_micro_perf -> BENCH_micro.json"
-  "${micro}" --benchmark_format=json --benchmark_out="${repo_root}/BENCH_micro.json" \
-      --benchmark_out_format=json > /dev/null
-else
-  echo "error: ${micro} not built" >&2
-  exit 1
-fi
-
-for bin in "${bench_dir}"/bench_*; do
-  name="$(basename "${bin}")"
-  [[ -x "${bin}" && "${name}" != "bench_micro_perf" ]] || continue
-  echo "== ${name} -> bench_reports/${name}.txt"
-  "${bin}" > "${report_dir}/${name}.txt"
-done
-
-echo "done: $(wc -c < "${repo_root}/BENCH_micro.json") bytes in BENCH_micro.json," \
-     "reports in ${report_dir}/"
+echo "== bench_micro_perf -> BENCH_micro.json"
+"${micro}" --benchmark_format=json --benchmark_out="${repo_root}/BENCH_micro.json" \
+    --benchmark_out_format=json > /dev/null
+echo "done: $(wc -c < "${repo_root}/BENCH_micro.json") bytes in BENCH_micro.json"

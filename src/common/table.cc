@@ -44,8 +44,6 @@ std::string TablePrinter::Render() const {
   return out.str();
 }
 
-void TablePrinter::Print() const { std::fputs(Render().c_str(), stdout); }
-
 std::string FormatDouble(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, v);

@@ -1,5 +1,5 @@
-// ASCII table printer used by the benchmark harnesses to emit the paper's
-// tables/figure series in a uniform format.
+// ASCII table printer the reproduction report (src/repro/) uses to emit the
+// paper's tables/figure series in a uniform format.
 
 #ifndef SRC_COMMON_TABLE_H_
 #define SRC_COMMON_TABLE_H_
@@ -18,9 +18,6 @@ class TablePrinter {
 
   // Renders the table with aligned columns and a header separator.
   std::string Render() const;
-
-  // Convenience: renders and writes to stdout.
-  void Print() const;
 
   std::size_t num_rows() const { return rows_.size(); }
 

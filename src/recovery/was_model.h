@@ -2,7 +2,7 @@
 // Fig. 12 methodology (Sec. 8.2.1): weight eviction sizes 1..P99 by the
 // binomial failure model of Sec. 6.2, add a catastrophic switch failure at a
 // fixed probability, and price each recovery strategy with RestartCostModel.
-// Shared by bench/bench_fig12_was.cc and the byterobust CLI.
+// Used by the Fig. 12 section of the reproduction report (src/repro/).
 
 #ifndef SRC_RECOVERY_WAS_MODEL_H_
 #define SRC_RECOVERY_WAS_MODEL_H_

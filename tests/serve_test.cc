@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -164,6 +165,29 @@ TEST(ServeProtocolTest, ShedAndStatusEnvelopesCarryTheContract) {
 // --------------------------------------------------------------------------
 // Daemon end-to-end (in-process): a real unix socket under TempDir.
 // --------------------------------------------------------------------------
+
+// Holds every seed attempt in the injected cooperative hang until the
+// watchdog cancels it 1 s in: a request with "retries":0 then lasts as long
+// as a test needs to interrupt it, however fast the simulator is. Construct
+// it before the daemon, so no daemon thread reads the environment while it
+// changes.
+class HeldSeeds {
+ public:
+  HeldSeeds() {
+    setenv("BYTEROBUST_HARNESS_FAULTS", "hang:1.0", 1);
+    setenv("BYTEROBUST_SEED_TIMEOUT_S", "1", 1);
+  }
+  ~HeldSeeds() { Release(); }
+  HeldSeeds(const HeldSeeds&) = delete;
+  HeldSeeds& operator=(const HeldSeeds&) = delete;
+
+  // Later requests run their seeds. Call only while no request runs.
+  void Release() {
+    unsetenv("BYTEROBUST_HARNESS_FAULTS");
+    unsetenv("BYTEROBUST_SEED_TIMEOUT_S");
+  }
+};
+
 class ServeDaemonTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -299,6 +323,7 @@ TEST_F(ServeDaemonTest, SeedCapRejectsAndUnknownScenarioRejects) {
 }
 
 TEST_F(ServeDaemonTest, QueueFullShedsWhileInFlightRequestIsUnaffected) {
+  const HeldSeeds held;
   ServeOptions opts;
   opts.socket_path = socket_path_;
   opts.workers = 1;   // one in-system slot...
@@ -313,8 +338,8 @@ TEST_F(ServeDaemonTest, QueueFullShedsWhileInFlightRequestIsUnaffected) {
   std::string long_response;
   std::thread occupier([this, &long_response] {
     long_response = Roundtrip(
-        "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":1024,"
-        "\"jobs\":1,\"deadline_s\":0.8}");
+        "{\"op\":\"campaign\",\"scenario\":\"quickstart\",\"seeds\":8,"
+        "\"jobs\":1,\"retries\":0,\"deadline_s\":0.8}");
   });
   // Wait until the occupier is actually executing before probing admission.
   for (int i = 0; i < 100 && daemon.Snapshot().active_requests == 0; ++i) {
@@ -341,6 +366,7 @@ TEST_F(ServeDaemonTest, QueueFullShedsWhileInFlightRequestIsUnaffected) {
 }
 
 TEST_F(ServeDaemonTest, ConcurrentRequestsOnOneJournalPathAreRejected) {
+  HeldSeeds held;
   ServeOptions opts;
   opts.socket_path = socket_path_;
   opts.workers = 2;  // both requests could run — only the path collides
@@ -359,8 +385,8 @@ TEST_F(ServeDaemonTest, ConcurrentRequestsOnOneJournalPathAreRejected) {
   std::string long_response;
   std::thread occupier([this, &journal, &long_response] {
     long_response = Roundtrip(
-        "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":1024,"
-        "\"jobs\":1,\"deadline_s\":0.8,\"journal\":\"" + journal + "\"}");
+        "{\"op\":\"campaign\",\"scenario\":\"quickstart\",\"seeds\":8,"
+        "\"jobs\":1,\"retries\":0,\"deadline_s\":0.8,\"journal\":\"" + journal + "\"}");
   });
   for (int i = 0; i < 100 && daemon.Snapshot().active_requests == 0; ++i) {
     SleepMs(10.0);
@@ -378,6 +404,7 @@ TEST_F(ServeDaemonTest, ConcurrentRequestsOnOneJournalPathAreRejected) {
   EXPECT_NE(s.find("already in use"), std::string::npos) << s;
 
   occupier.join();
+  held.Release();
   // Completion released the reservation: the same path admits again.
   const std::string after = Roundtrip(
       "{\"op\":\"campaign\",\"scenario\":\"quickstart\",\"seeds\":1,"
@@ -391,6 +418,7 @@ TEST_F(ServeDaemonTest, ConcurrentRequestsOnOneJournalPathAreRejected) {
 }
 
 TEST_F(ServeDaemonTest, ClientHangUpCancelsTheRunningRequest) {
+  const HeldSeeds held;
   ServeOptions opts;
   opts.socket_path = socket_path_;
   opts.workers = 1;
@@ -408,7 +436,7 @@ TEST_F(ServeDaemonTest, ClientHangUpCancelsTheRunningRequest) {
   std::memcpy(addr.sun_path, socket_path_.c_str(), socket_path_.size());
   ASSERT_EQ(connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
   const std::string line =
-      "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":2048}\n";
+      "{\"op\":\"campaign\",\"scenario\":\"quickstart\",\"seeds\":8,\"retries\":0}\n";
   ASSERT_EQ(send(fd, line.data(), line.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(line.size()));
   for (int i = 0; i < 200 && daemon.Snapshot().active_requests == 0; ++i) {
@@ -417,8 +445,9 @@ TEST_F(ServeDaemonTest, ClientHangUpCancelsTheRunningRequest) {
   ASSERT_EQ(daemon.Snapshot().active_requests, 1);
   close(fd);
 
-  // The hang-up is noticed within a supervision tick and the in-flight seed
-  // drains; 2048 dense-month seeds would take far longer than this bound.
+  // The hang-up is noticed within a supervision tick and the held seed
+  // drains at its 1 s watchdog; eight held seeds would take far longer than
+  // this bound.
   const double give_up = WallSeconds() + 2.0;
   while (daemon.Snapshot().completed == 0 && WallSeconds() < give_up) {
     SleepMs(10.0);
@@ -436,6 +465,7 @@ TEST_F(ServeDaemonTest, ClientHangUpCancelsTheRunningRequest) {
 }
 
 TEST_F(ServeDaemonTest, DeadlineCancelsAQueuedRequest) {
+  const HeldSeeds held;
   ServeOptions opts;
   opts.socket_path = socket_path_;
   opts.workers = 1;
@@ -448,8 +478,8 @@ TEST_F(ServeDaemonTest, DeadlineCancelsAQueuedRequest) {
   std::string long_response;
   std::thread occupier([this, &long_response] {
     long_response = Roundtrip(
-        "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":1024,"
-        "\"jobs\":1,\"deadline_s\":0.8}");
+        "{\"op\":\"campaign\",\"scenario\":\"quickstart\",\"seeds\":8,"
+        "\"jobs\":1,\"retries\":0,\"deadline_s\":0.8}");
   });
   for (int i = 0; i < 100 && daemon.Snapshot().active_requests == 0; ++i) {
     SleepMs(10.0);

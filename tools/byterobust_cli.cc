@@ -6,7 +6,7 @@
 //   fleet        run a named multi-job fleet scenario across N seeds
 //   serve        host campaigns as a service on a local socket (src/serve)
 //   request      send one request line to a serve daemon and print the reply
-//   bench-report emit the restart-cost / WAS model as JSON across scales
+//   reproduce    print the paper-reproduction report (src/repro/) as Markdown
 //   list         list the named scenarios (single-job and fleet)
 //
 //   ./build/tools/byterobust run --preset quickstart --seed 2024
@@ -54,8 +54,7 @@
 #include "src/metrics/report.h"
 #include "src/obs/dashboard.h"
 #include "src/obs/trace.h"
-#include "src/recovery/restart_model.h"
-#include "src/recovery/was_model.h"
+#include "src/repro/repro.h"
 #include "src/serve/client.h"
 #include "src/serve/protocol.h"
 #include "src/serve/server.h"
@@ -63,9 +62,7 @@
 namespace byterobust {
 namespace {
 
-int Emit(JsonWriter* w, const std::string& out_path) {
-  std::string text = w->Take();
-  text += '\n';
+int Emit(const std::string& text, const std::string& out_path) {
   // SIGPIPE is ignored, so a closed pipe surfaces here as a short write.
   if (std::fwrite(text.data(), 1, text.size(), stdout) != text.size() ||
       std::fflush(stdout) != 0) {
@@ -120,7 +117,7 @@ struct Options {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: byterobust <run|campaign|fleet|serve|request|bench-report|list> "
+               "usage: byterobust <run|campaign|fleet|serve|request|reproduce|list> "
                "[options]\n"
                "\n"
                "  run          --preset NAME   [--seed S] [--days D] [--out FILE]\n"
@@ -136,7 +133,7 @@ int Usage() {
                "               [--max-seeds N] [--pid-file FILE] [--trace FILE]\n"
                "  request      --socket PATH   (--body JSON | --body-file FILE) [--raw]\n"
                "               [--wait-s S] [--timeout-s S] [--out FILE]\n"
-               "  bench-report [--out FILE]\n"
+               "  reproduce    [--out FILE]\n"
                "  list\n"
                "\n"
                "  --stream emits each seed's JSON as soon as it is next in seed order\n"
@@ -237,7 +234,7 @@ bool FlagAllowed(const std::string& command, const std::string& flag) {
     return flag == "--socket" || flag == "--body" || flag == "--body-file" ||
            flag == "--raw" || flag == "--wait-s" || flag == "--timeout-s";
   }
-  return false;  // bench-report / list take only --out
+  return false;  // reproduce / list take only --out
 }
 
 bool ParseOptions(const std::string& command, int argc, char** argv, Options* opts) {
@@ -359,7 +356,7 @@ int CmdRun(const Options& opts) {
   w.Key("result");
   WriteRun(&w, r);
   w.EndObject();
-  return Emit(&w, opts.campaign.out_path);
+  return Emit(w.Take() + "\n", opts.campaign.out_path);
 }
 
 // campaign / fleet: one shared body, differing only in the registry the
@@ -497,32 +494,8 @@ int CmdRequest(const Options& opts) {
   return static_cast<int>(exit_code);
 }
 
-int CmdBenchReport(const Options& opts) {
-  const RestartCostModel model;
-  JsonWriter w;
-  w.BeginObject();
-  w.Field("tool", "byterobust");
-  w.Field("command", "bench-report");
-  w.Key("restart_cost_model");
-  w.BeginArray();
-  for (int machines : {128, 256, 512, 1024}) {
-    const WasEstimate est = EstimateWas(machines);
-    w.BeginObject();
-    w.Field("machines", machines);
-    w.Field("requeue_s", ToSeconds(model.RequeueTime(machines)));
-    w.Field("reschedule_1_s", ToSeconds(model.RescheduleTime(machines, 1)));
-    w.Field("standby_wake_1_s", ToSeconds(model.StandbyWakeTime(1)));
-    w.Field("hot_update_s", ToSeconds(model.HotUpdateTime(machines)));
-    w.Field("p99_evictions", est.p99_evictions);
-    w.Field("was_byterobust_s", est.byterobust_s);
-    w.Field("was_requeue_s", est.requeue_s);
-    w.Field("was_reschedule_s", est.reschedule_s);
-    w.Field("was_oracle_s", est.oracle_s);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-  return Emit(&w, opts.campaign.out_path);
+int CmdReproduce(const Options& opts) {
+  return Emit(RenderReproReport(), opts.campaign.out_path);
 }
 
 int CmdList(const Options& opts) {
@@ -552,7 +525,7 @@ int CmdList(const Options& opts) {
   }
   w.EndArray();
   w.EndObject();
-  return Emit(&w, opts.campaign.out_path);
+  return Emit(w.Take() + "\n", opts.campaign.out_path);
 }
 
 int Main(int argc, char** argv) {
@@ -589,8 +562,8 @@ int Main(int argc, char** argv) {
     code = CmdServe(opts);
   } else if (command == "request") {
     code = CmdRequest(opts);
-  } else if (command == "bench-report") {
-    code = CmdBenchReport(opts);
+  } else if (command == "reproduce") {
+    code = CmdReproduce(opts);
   } else if (command == "list") {
     code = CmdList(opts);
   } else {

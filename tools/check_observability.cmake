@@ -29,7 +29,7 @@ function(validate_trace trace)
       COMMAND ${PYTHON3} ${TOOLS_DIR}/trace_validate.py ${ARGN} ${trace}
       RESULT_VARIABLE rc OUTPUT_QUIET)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "trace ${trace} failed trace_validate.py")
+    serve_fail("trace ${trace} failed trace_validate.py")
   endif()
 endfunction()
 
@@ -47,7 +47,7 @@ foreach(kind campaign fleet)
         COMMAND ${CLI} ${${kind}_cmd} ${extra} --out ${WORK_DIR}/ref_${kind}_${layout}.json
         OUTPUT_QUIET RESULT_VARIABLE rc)
     if(NOT rc EQUAL 0)
-      message(FATAL_ERROR "clean ${kind} ${layout} reference failed: ${rc}")
+      serve_fail("clean ${kind} ${layout} reference failed: ${rc}")
     endif()
   endforeach()
 endforeach()
@@ -73,13 +73,13 @@ foreach(kind campaign fleet)
               --out ${WORK_DIR}/out_${tag}.json
           OUTPUT_QUIET RESULT_VARIABLE rc)
       if(NOT rc EQUAL 0)
-        message(FATAL_ERROR "observed ${kind} (${path}, --jobs ${jobs}) exited ${rc}")
+        serve_fail("observed ${kind} (${path}, --jobs ${jobs}) exited ${rc}")
       endif()
       execute_process(
           COMMAND ${CMAKE_COMMAND} -E compare_files ${ref} ${WORK_DIR}/out_${tag}.json
           RESULT_VARIABLE diff)
       if(NOT diff EQUAL 0)
-        message(FATAL_ERROR
+        serve_fail(
             "${kind} output (${path}, --jobs ${jobs}) changed with observability on")
       endif()
       validate_trace(${WORK_DIR}/trace_${tag}.json)
@@ -91,7 +91,7 @@ foreach(kind campaign fleet)
                 ${first_dash} ${WORK_DIR}/dash_${tag}.json
             RESULT_VARIABLE diff)
         if(NOT diff EQUAL 0)
-          message(FATAL_ERROR
+          serve_fail(
               "${kind} dashboard (${path}, --jobs ${jobs}) differs across runs")
         endif()
       endif()
@@ -109,14 +109,14 @@ execute_process(
         --wait-s 15 --timeout-s 300 --out ${WORK_DIR}/serve_body.json
     OUTPUT_QUIET RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "traced serve request failed: ${rc}")
+  serve_fail("traced serve request failed: ${rc}")
 endif()
 execute_process(
     COMMAND ${CMAKE_COMMAND} -E compare_files
         ${WORK_DIR}/ref_campaign_stream.json ${WORK_DIR}/serve_body.json
     RESULT_VARIABLE diff)
 if(NOT diff EQUAL 0)
-  message(FATAL_ERROR "serve body changed with tracing on")
+  serve_fail("serve body changed with tracing on")
 endif()
 serve_shutdown(serve)
 validate_trace(${WORK_DIR}/trace_serve.json)

@@ -24,14 +24,14 @@ execute_process(
         --out ${WORK_DIR}/ref_campaign.json
     OUTPUT_QUIET RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "reference campaign failed: ${rc}")
+  serve_fail("reference campaign failed: ${rc}")
 endif()
 execute_process(
     COMMAND ${CLI} fleet --scenario fleet-mixed --seeds 4 --stream
         --out ${WORK_DIR}/ref_fleet.json
     OUTPUT_QUIET RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "reference fleet failed: ${rc}")
+  serve_fail("reference fleet failed: ${rc}")
 endif()
 
 set(campaign_req "{\"op\":\"campaign\",\"scenario\":\"gpu-fault\",\"seeds\":6,\"jobs\":8}")
@@ -55,7 +55,7 @@ pids=\"$pids $!\"; \
 rc=0; for p in $pids; do wait $p || rc=1; done; exit $rc"
       RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "a concurrent serve client failed (--jobs ${jobs})")
+    serve_fail("a concurrent serve client failed (--jobs ${jobs})")
   endif()
 
   foreach(i 1 2 3)
@@ -64,7 +64,7 @@ rc=0; for p in $pids; do wait $p || rc=1; done; exit $rc"
             ${WORK_DIR}/ref_campaign.json ${WORK_DIR}/campaign_${jobs}_${i}.json
         RESULT_VARIABLE diff)
     if(NOT diff EQUAL 0)
-      message(FATAL_ERROR
+      serve_fail(
           "serve campaign body (--jobs ${jobs}, client ${i}) is not byte-identical to the CLI")
     endif()
   endforeach()
@@ -73,7 +73,7 @@ rc=0; for p in $pids; do wait $p || rc=1; done; exit $rc"
           ${WORK_DIR}/ref_fleet.json ${WORK_DIR}/fleet_${jobs}.json
       RESULT_VARIABLE diff)
   if(NOT diff EQUAL 0)
-    message(FATAL_ERROR
+    serve_fail(
         "serve fleet body (--jobs ${jobs}) is not byte-identical to the CLI")
   endif()
 

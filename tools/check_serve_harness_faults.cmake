@@ -27,7 +27,7 @@ execute_process(
         --out ${WORK_DIR}/ref.json
     OUTPUT_QUIET RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "clean reference campaign failed: ${rc}")
+  serve_fail("clean reference campaign failed: ${rc}")
 endif()
 
 set(sock ${WORK_DIR}/serve.sock)
@@ -45,7 +45,7 @@ done; \
 rc=0; for p in $pids; do wait $p || rc=1; done; exit $rc"
     RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "a request against the faulted daemon failed")
+  serve_fail("a request against the faulted daemon failed")
 endif()
 
 foreach(i 1 2)
@@ -54,7 +54,7 @@ foreach(i 1 2)
           ${WORK_DIR}/ref.json ${WORK_DIR}/faulted_${i}.json
       RESULT_VARIABLE diff)
   if(NOT diff EQUAL 0)
-    message(FATAL_ERROR
+    serve_fail(
         "faulted serve body (client ${i}) is not byte-identical to the clean CLI run")
   endif()
 endforeach()

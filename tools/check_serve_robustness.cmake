@@ -6,7 +6,9 @@
 #     rejected (exit 2), and a probe while the slot is occupied is load-shed
 #     (exit 75) while the occupying request is unaffected.
 #  2. Deadlines: a request whose deadline_s expires mid-campaign returns
-#     exit 30 with a valid partial document.
+#     exit 30 with a valid partial document. An injected cooperative hang
+#     holds its seeds, so the deadline falls mid-campaign at any simulator
+#     speed.
 #  3. Graceful drain + resume: SIGTERM mid-request drains the daemon (exit 30),
 #     the journaled request's partial response is valid, and a restarted
 #     daemon resuming that journal produces output byte-identical to a
@@ -41,7 +43,7 @@ execute_process(
         --raw --wait-s 15 --timeout-s 30
     OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc)
 if(NOT rc EQUAL 2)
-  message(FATAL_ERROR "seed-cap violation exited ${rc}, expected 2 (rejected)")
+  serve_fail("seed-cap violation exited ${rc}, expected 2 (rejected)")
 endif()
 
 execute_process(
@@ -61,40 +63,49 @@ echo \"shed_rc=$shed_rc occ_rc=$occ_rc\" > \"${WORK_DIR}/admission.txt\"; \
     RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   file(READ ${WORK_DIR}/admission.txt admission)
-  message(FATAL_ERROR
+  serve_fail(
       "admission check failed (want shed_rc=75 occ_rc=20): ${admission}")
 endif()
 file(READ ${WORK_DIR}/shed.json shed_response)
 if(NOT shed_response MATCHES "request queue is full")
-  message(FATAL_ERROR "shed response lacks the structured reason: ${shed_response}")
+  serve_fail("shed response lacks the structured reason: ${shed_response}")
 endif()
 file(READ ${WORK_DIR}/occupier.json occupier_response)
 if(NOT occupier_response MATCHES "failed_runs")
-  message(FATAL_ERROR
+  serve_fail(
       "occupier (quarantined) response lacks failed_runs: ${occupier_response}")
 endif()
 
 serve_shutdown(serve_a)
 
 # ---------------------------------------------------------------------------
-# 2 + 3. Deadlines, SIGTERM drain, journal resume.
+# 2. Deadlines. hang:1.0 holds each seed until the 1 s watchdog, and
+# "retries":0 quarantines it then; the 0.3 s deadline stops the campaign
+# while its first seed is held.
+# ---------------------------------------------------------------------------
+set(sock_d ${WORK_DIR}/serve_d.sock)
+serve_start(serve_d --workers 1 --jobs 1
+    ENV "BYTEROBUST_HARNESS_FAULTS='hang:1.0' BYTEROBUST_SEED_TIMEOUT_S=1")
+execute_process(
+    COMMAND ${CLI} request --socket ${sock_d}
+        --body "{\"op\":\"campaign\",\"scenario\":\"quickstart\",\"seeds\":8,\"retries\":0,\"deadline_s\":0.3}"
+        --wait-s 15 --timeout-s 120 --out ${WORK_DIR}/deadline.json
+    OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc)
+if(NOT rc EQUAL 30)
+  serve_fail("deadline request exited ${rc}, expected 30 (interrupted)")
+endif()
+file(READ ${WORK_DIR}/deadline.json deadline_body)
+if(NOT deadline_body MATCHES "\"runs\"" OR NOT deadline_body MATCHES "\"aggregate\"")
+  serve_fail("deadline partial document is not a valid campaign doc")
+endif()
+serve_shutdown(serve_d)
+
+# ---------------------------------------------------------------------------
+# 3. SIGTERM drain, journal resume.
 # ---------------------------------------------------------------------------
 set(sock_b ${WORK_DIR}/serve_b.sock)
 set(journal ${WORK_DIR}/request.journal)
 serve_start(serve_b --workers 1 --jobs 1)
-
-execute_process(
-    COMMAND ${CLI} request --socket ${sock_b}
-        --body "{\"op\":\"campaign\",\"scenario\":\"dense-month\",\"seeds\":1024,\"deadline_s\":0.3}"
-        --wait-s 15 --timeout-s 120 --out ${WORK_DIR}/deadline.json
-    OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc)
-if(NOT rc EQUAL 30)
-  message(FATAL_ERROR "deadline request exited ${rc}, expected 30 (interrupted)")
-endif()
-file(READ ${WORK_DIR}/deadline.json deadline_body)
-if(NOT deadline_body MATCHES "\"runs\"" OR NOT deadline_body MATCHES "\"aggregate\"")
-  message(FATAL_ERROR "deadline partial document is not a valid campaign doc")
-endif()
 
 # Journaled request, SIGTERM mid-flight. Whether the kill lands before, during
 # or after the request, the daemon must exit 30 and the later resume must
@@ -111,7 +122,7 @@ echo \"client_rc=$client_rc\" > \"${WORK_DIR}/drain.txt\"; \
     RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   file(READ ${WORK_DIR}/drain.txt drain)
-  message(FATAL_ERROR "journaled client failed across the drain: ${drain}")
+  serve_fail("journaled client failed across the drain: ${drain}")
 endif()
 serve_await_exit(serve_b)
 
@@ -122,7 +133,7 @@ execute_process(
         --out ${WORK_DIR}/ref_resume.json
     OUTPUT_QUIET RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "resume reference campaign failed: ${rc}")
+  serve_fail("resume reference campaign failed: ${rc}")
 endif()
 set(sock_c ${WORK_DIR}/serve_c.sock)
 serve_start(serve_c --workers 1 --jobs 1)
@@ -132,14 +143,14 @@ execute_process(
         --wait-s 15 --timeout-s 300 --out ${WORK_DIR}/resumed.json
     OUTPUT_QUIET RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "resume request exited ${rc}, expected 0")
+  serve_fail("resume request exited ${rc}, expected 0")
 endif()
 execute_process(
     COMMAND ${CMAKE_COMMAND} -E compare_files
         ${WORK_DIR}/ref_resume.json ${WORK_DIR}/resumed.json
     RESULT_VARIABLE diff)
 if(NOT diff EQUAL 0)
-  message(FATAL_ERROR
+  serve_fail(
       "resumed serve body is not byte-identical to the straight CLI run")
 endif()
 serve_shutdown(serve_c)

@@ -11,6 +11,25 @@
 #       graceful drain).
 #   serve_shutdown(<name>)
 #       sends {"op":"shutdown"}, requires its ack, then serve_await_exit.
+#   serve_fail(<message>)
+#       kills every daemon of WORK_DIR that has not ended, then fails the test
+#       with <message>. Checks made while a daemon runs fail through it, so a
+#       failed check leaves no daemon behind.
+
+function(serve_fail message)
+  file(GLOB pid_files "${WORK_DIR}/*.pid")
+  foreach(pid_file IN LISTS pid_files)
+    string(REGEX REPLACE "\\.pid$" ".exit" exit_file "${pid_file}")
+    if(NOT EXISTS "${exit_file}")
+      file(READ "${pid_file}" pid)
+      string(STRIP "${pid}" pid)
+      if(pid MATCHES "^[0-9]+$")
+        execute_process(COMMAND kill -KILL ${pid} OUTPUT_QUIET ERROR_QUIET)
+      endif()
+    endif()
+  endforeach()
+  message(FATAL_ERROR "${message}")
+endfunction()
 
 function(serve_start name)
   cmake_parse_arguments(PARSE_ARGV 1 arg "" "ENV" "")
@@ -20,7 +39,7 @@ function(serve_start name)
       COMMAND bash -c "(${arg_ENV} \"${CLI}\" serve --socket \"${base}.sock\" --pid-file \"${base}.pid\" ${flags} </dev/null >\"${base}.log\" 2>&1; echo -n $? > \"${base}.exit\") </dev/null >/dev/null 2>&1 &"
       RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "could not launch serve daemon '${name}'")
+    serve_fail("could not launch serve daemon '${name}'")
   endif()
 endfunction()
 
@@ -30,12 +49,11 @@ function(serve_await_exit name)
       COMMAND bash -c "for i in $(seq 100); do [ -f \"${exit_file}\" ] && exit 0; sleep 0.1; done; exit 1"
       RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "serve daemon '${name}' did not exit")
+    serve_fail("serve daemon '${name}' did not exit")
   endif()
   file(READ ${exit_file} daemon_exit)
   if(NOT daemon_exit STREQUAL "30")
-    message(FATAL_ERROR
-        "serve daemon '${name}' exited '${daemon_exit}', expected 30 (graceful drain)")
+    serve_fail("serve daemon '${name}' exited '${daemon_exit}', expected 30 (graceful drain)")
   endif()
 endfunction()
 
@@ -45,7 +63,7 @@ function(serve_shutdown name)
           --body "{\"op\":\"shutdown\"}" --raw --wait-s 5 --timeout-s 30
       OUTPUT_QUIET RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "shutdown request to serve daemon '${name}' failed: ${rc}")
+    serve_fail("shutdown request to serve daemon '${name}' failed: ${rc}")
   endif()
   serve_await_exit(${name})
 endfunction()
